@@ -377,8 +377,10 @@ BENCHMARK(BM_Crc32cHardware)->Arg(4096)->Arg(65536)->Arg(1 << 20);
 // ---- Shuffle data plane: block codec kernels --------------------------
 // Compress / decompress one spill-partition-sized block of framed records.
 // Text keys repeat from a small dictionary (compressible, the shuffle's
-// common case); BytesWritable payloads are random (incompressible, lands
-// on the stored-frame fallback for lz4).
+// common case); BytesWritable values are random bytes behind repeated keys.
+// Two more lz4 samples cover incompressible input: pure random bytes, and
+// a block that is already an lz4 frame (what the extent writer used to
+// compress a second time). Both land on the stored-frame fallback.
 
 std::string CodecSample(DataType type, size_t target_bytes) {
   RecordGenerator::Options options;
@@ -402,10 +404,25 @@ std::string CodecSample(DataType type, size_t target_bytes) {
   return sample;
 }
 
+// Sample selectors past the DataType values.
+constexpr int kRandomSample = 100;
+constexpr int kLz4FrameSample = 101;
+
+std::string BlockSample(int kind) {
+  constexpr size_t kBytes = 1 << 20;
+  if (kind == kRandomSample) return RandomPayload(kBytes, 29);
+  if (kind == kLz4FrameSample) {
+    std::string frame;
+    const Status status = BlockCompress(
+        MapOutputCodec::kLz4, CodecSample(DataType::kText, kBytes), &frame);
+    return status.ok() ? frame : std::string();
+  }
+  return CodecSample(static_cast<DataType>(kind), kBytes);
+}
+
 void BM_BlockCompress(benchmark::State& state) {
   const auto codec = static_cast<MapOutputCodec>(state.range(0));
-  const auto type = static_cast<DataType>(state.range(1));
-  const std::string sample = CodecSample(type, 1 << 20);
+  const std::string sample = BlockSample(static_cast<int>(state.range(1)));
   std::string frame;
   for (auto _ : state) {
     benchmark::DoNotOptimize(BlockCompress(codec, sample, &frame).ok());
@@ -422,6 +439,8 @@ BENCHMARK(BM_BlockCompress)
             static_cast<int>(DataType::kText)})
     ->Args({static_cast<int>(MapOutputCodec::kLz4),
             static_cast<int>(DataType::kBytesWritable)})
+    ->Args({static_cast<int>(MapOutputCodec::kLz4), kRandomSample})
+    ->Args({static_cast<int>(MapOutputCodec::kLz4), kLz4FrameSample})
     ->Args({static_cast<int>(MapOutputCodec::kDeflate),
             static_cast<int>(DataType::kText)})
     ->Args({static_cast<int>(MapOutputCodec::kDeflate),
@@ -429,8 +448,7 @@ BENCHMARK(BM_BlockCompress)
 
 void BM_BlockDecompress(benchmark::State& state) {
   const auto codec = static_cast<MapOutputCodec>(state.range(0));
-  const auto type = static_cast<DataType>(state.range(1));
-  const std::string sample = CodecSample(type, 1 << 20);
+  const std::string sample = BlockSample(static_cast<int>(state.range(1)));
   std::string frame;
   if (!BlockCompress(codec, sample, &frame).ok()) {
     state.SkipWithError("compression failed");
@@ -448,6 +466,8 @@ BENCHMARK(BM_BlockDecompress)
             static_cast<int>(DataType::kText)})
     ->Args({static_cast<int>(MapOutputCodec::kLz4),
             static_cast<int>(DataType::kBytesWritable)})
+    ->Args({static_cast<int>(MapOutputCodec::kLz4), kRandomSample})
+    ->Args({static_cast<int>(MapOutputCodec::kLz4), kLz4FrameSample})
     ->Args({static_cast<int>(MapOutputCodec::kDeflate),
             static_cast<int>(DataType::kText)})
     ->Args({static_cast<int>(MapOutputCodec::kDeflate),

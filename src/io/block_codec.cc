@@ -1,5 +1,6 @@
 #include "io/block_codec.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <vector>
@@ -25,26 +26,26 @@ constexpr uint8_t kMethodDeflate = 2;
 // smaller.
 constexpr uint64_t kMaxFrameRawSize = 1ull << 32;
 
-// --- LZ4-style match finder parameters ---
+// --- LZ4 fast-mode parameters ---
 constexpr size_t kMinMatch = 4;
-constexpr size_t kMaxOffset = 65535;  // 16-bit offsets
-constexpr int kHashBits = 15;
-constexpr int kMaxChainDepth = 16;
+constexpr int kHashBits = 14;         // 32 KiB table of 16-bit positions
+// A literal run widens the probe step by one byte every 2^kSkipTrigger
+// failed probes, so incompressible input is skimmed, not hashed per byte.
+constexpr int kSkipTrigger = 6;
 // The classic LZ4 end-of-block restrictions: no match starts within the
 // last 12 bytes, and the final 5 bytes are always literals. They guarantee
 // the decoder's token/offset reads never straddle the end of the stream.
 constexpr size_t kMatchStartMargin = 12;
 constexpr size_t kLastLiterals = 5;
-// A match this long ends the chain walk early: on repetitive shuffle data
-// (sorted runs repeating the same serialized key) nearly every position
-// finds one on its first candidate, which is what keeps the compressor at
-// memory speed instead of O(chain depth) compares per byte.
-constexpr size_t kGoodEnoughMatch = 48;
 
-inline uint32_t HashQuad(const uint8_t* p) {
+inline uint32_t Load32(const uint8_t* p) {
   uint32_t v;
   std::memcpy(&v, p, sizeof(v));
-  return (v * 2654435761u) >> (32 - kHashBits);
+  return v;
+}
+
+inline uint32_t HashQuad(uint32_t quad) {
+  return (quad * 2654435761u) >> (32 - kHashBits);
 }
 
 // Length of the common prefix of a and b, eight bytes per compare.
@@ -52,27 +53,42 @@ inline size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t max_len) {
   static_assert(std::endian::native == std::endian::little,
                 "word-wise match extension assumes little-endian loads");
   size_t len = 0;
-  while (len + sizeof(uint64_t) <= max_len) {
+  for (; len + sizeof(uint64_t) <= max_len; len += sizeof(uint64_t)) {
     uint64_t wa;
     uint64_t wb;
     std::memcpy(&wa, a + len, sizeof(wa));
     std::memcpy(&wb, b + len, sizeof(wb));
-    const uint64_t diff = wa ^ wb;
-    if (diff != 0) {
-      return len + (static_cast<size_t>(std::countr_zero(diff)) >> 3);
-    }
-    len += sizeof(uint64_t);
+    if (wa != wb) return len + (std::countr_zero(wa ^ wb) >> 3);
   }
   while (len < max_len && a[len] == b[len]) ++len;
   return len;
 }
 
-void AppendRunLength(size_t len, std::string* out) {
-  while (len >= 255) {
-    out->push_back(static_cast<char>(0xff));
-    len -= 255;
+// Writes `len` into a token nibble (at `shift`) plus its 255-run extension.
+uint8_t* AppendLength(size_t len, int shift, uint8_t* token, uint8_t* op) {
+  *token |= static_cast<uint8_t>(std::min<size_t>(len, 15) << shift);
+  if (len < 15) return op;
+  for (len -= 15; len >= 255; len -= 255) *op++ = 0xff;
+  *op++ = static_cast<uint8_t>(len);
+  return op;
+}
+
+// Copies `len` bytes to dst from src, which sits `gap` bytes before dst in
+// the same buffer (SIZE_MAX: another buffer); `room` bytes past either are
+// addressable. With that slack, 16-byte chunks may overrun `len`; a match
+// overlapping its own output (gap < len) otherwise copies 8 bytes at a time
+// when gap >= 8, byte by byte below that.
+inline void CopyBytes(uint8_t* dst, const uint8_t* src, size_t gap, size_t len,
+                      size_t room) {
+  if (gap >= 16 && len + 15 <= room) {
+    for (size_t i = 0; i < len; i += 16) std::memcpy(dst + i, src + i, 16);
+  } else if (gap >= len) {
+    std::memcpy(dst, src, len);
+  } else {
+    size_t i = 0;
+    for (; gap >= 8 && i + 8 <= len; i += 8) std::memcpy(dst + i, src + i, 8);
+    for (; i < len; ++i) dst[i] = src[i];
   }
-  out->push_back(static_cast<char>(len));
 }
 
 // CRC32C over the method+raw_len header bytes followed by the payload —
@@ -80,6 +96,20 @@ void AppendRunLength(size_t len, std::string* out) {
 // sized from it.
 uint32_t FrameCrc(std::string_view header_tail, std::string_view payload) {
   return Crc32c(Crc32c(kCrc32cInit, header_tail), payload);
+}
+
+// Frame header for `payload`, which decodes to `raw_size` bytes, then payload.
+void WriteFrame(uint8_t method, size_t raw_size, std::string_view payload,
+                std::string* frame) {
+  frame->clear();
+  BufferWriter writer(frame);
+  writer.AppendFixed32(kFrameMagic);
+  writer.AppendByte(method);
+  writer.AppendFixed64(raw_size);
+  const std::string_view header_tail =
+      std::string_view(*frame).substr(4, kCodecFrameHeaderSize - 8);
+  writer.AppendFixed32(FrameCrc(header_tail, payload));
+  writer.AppendRaw(payload);
 }
 
 }  // namespace
@@ -113,224 +143,194 @@ void Lz4CompressBlock(std::string_view input, std::string* out) {
   out->clear();
   const size_t n = input.size();
   if (n == 0) return;
-  out->reserve(Lz4CompressBound(n));
+  out->resize(Lz4CompressBound(n));
   const uint8_t* base = reinterpret_cast<const uint8_t*>(input.data());
-
-  const auto emit_literals = [&](size_t anchor, size_t pos, int match_nibble) {
-    const size_t lit_len = pos - anchor;
-    const uint8_t token =
-        static_cast<uint8_t>((lit_len < 15 ? lit_len : 15) << 4) |
-        static_cast<uint8_t>(match_nibble);
-    out->push_back(static_cast<char>(token));
-    if (lit_len >= 15) AppendRunLength(lit_len - 15, out);
-    out->append(input.data() + anchor, lit_len);
-  };
-
-  if (n < kMatchStartMargin) {
-    emit_literals(0, n, 0);
-    return;
-  }
-
-  std::vector<int32_t> head(size_t{1} << kHashBits, -1);
-  std::vector<int32_t> chain(n, -1);
-  const size_t match_start_limit = n - kMatchStartMargin;
-  const size_t match_end_limit = n - kLastLiterals;
+  uint8_t* const begin = reinterpret_cast<uint8_t*>(out->data());
+  uint8_t* op = begin;
   size_t anchor = 0;
-  size_t pos = 0;
-  while (pos < match_start_limit) {
-    // Greedy hash-chain search: walk the chain of prior positions with the
-    // same 4-byte hash, keep the longest match within the offset window.
-    const uint32_t h = HashQuad(base + pos);
-    const size_t max_len = match_end_limit - pos;
-    size_t best_len = 0;
-    size_t best_offset = 0;
-    int depth = kMaxChainDepth;
-    for (int32_t cand = head[h];
-         cand >= 0 && depth-- > 0 &&
-         pos - static_cast<size_t>(cand) <= kMaxOffset;
-         cand = chain[static_cast<size_t>(cand)]) {
-      // A longer match must agree at the current best length; one byte
-      // rejects most candidates without a full extension.
-      if (best_len > 0 &&
-          (best_len >= max_len ||
-           base[static_cast<size_t>(cand) + best_len] !=
-               base[pos + best_len])) {
-        continue;
-      }
+  // Token, literal length and the literals [anchor, end); returns the token
+  // so the match that follows can fill in its nibble.
+  const auto emit_literals = [&](size_t end) {
+    uint8_t* token = op++;
+    *token = 0;
+    op = AppendLength(end - anchor, 4, token, op);
+    std::memcpy(op, base + anchor, end - anchor);
+    op += end - anchor;
+    return token;
+  };
+  // Each slot holds the low 16 bits of the last block-relative position
+  // whose quad hashed there: within the 16-bit offset window that names
+  // the candidate uniquely. Cleared per block so the output depends on the input alone;
+  // a stale or empty slot is harmless, every candidate is verified.
+  thread_local std::vector<uint16_t> table(size_t{1} << kHashBits);
+  const size_t match_start_limit =
+      n > kMatchStartMargin ? n - kMatchStartMargin : 0;
+  if (match_start_limit > 0) std::fill(table.begin(), table.end(), 0);
+  // Single probe: read the quad's previous position, store this one.
+  const auto probe = [&](size_t pos, size_t* cand) {
+    const uint32_t quad = Load32(base + pos);
+    uint16_t& slot = table[HashQuad(quad)];
+    const size_t offset = static_cast<uint16_t>(pos - slot);
+    slot = static_cast<uint16_t>(pos);
+    *cand = pos - offset;
+    return offset != 0 && offset <= pos && Load32(base + *cand) == quad;
+  };
+  size_t attempts = size_t{1} << kSkipTrigger;
+  for (size_t pos = 1, cand = 0; pos < match_start_limit;) {
+    if (!probe(pos, &cand)) {
+      pos += attempts++ >> kSkipTrigger;
+      continue;
+    }
+    attempts = size_t{1} << kSkipTrigger;
+    // Extend the match backwards over literals it also covers.
+    while (pos > anchor && cand > 0 && base[pos - 1] == base[cand - 1]) {
+      --pos;
+      --cand;
+    }
+    uint8_t* token = emit_literals(pos);
+    // While the position right after a match matches again, chain
+    // zero-literal sequences without re-entering the probe loop.
+    for (;;) {
       const size_t len =
-          MatchLength(base + static_cast<size_t>(cand), base + pos, max_len);
-      if (len >= kMinMatch && len > best_len) {
-        best_len = len;
-        best_offset = pos - static_cast<size_t>(cand);
-        if (best_len >= kGoodEnoughMatch) break;
-      }
+          kMinMatch + MatchLength(base + cand + kMinMatch,
+                                  base + pos + kMinMatch,
+                                  n - kLastLiterals - pos - kMinMatch);
+      *op++ = static_cast<uint8_t>(pos - cand);
+      *op++ = static_cast<uint8_t>((pos - cand) >> 8);
+      op = AppendLength(len - kMinMatch, 0, token, op);
+      pos += len;
+      anchor = pos;
+      if (pos >= match_start_limit) break;
+      table[HashQuad(Load32(base + pos - 2))] = static_cast<uint16_t>(pos - 2);
+      if (!probe(pos, &cand)) break;
+      token = op++;
+      *token = 0;
     }
-    if (best_len >= kMinMatch) {
-      emit_literals(anchor, pos,
-                    static_cast<int>(best_len - kMinMatch < 15
-                                         ? best_len - kMinMatch
-                                         : 15));
-      out->push_back(static_cast<char>(best_offset & 0xff));
-      out->push_back(static_cast<char>(best_offset >> 8));
-      if (best_len - kMinMatch >= 15) {
-        AppendRunLength(best_len - kMinMatch - 15, out);
-      }
-      const size_t end = pos + best_len;
-      for (; pos < end && pos < match_start_limit; ++pos) {
-        const uint32_t hh = HashQuad(base + pos);
-        chain[pos] = head[hh];
-        head[hh] = static_cast<int32_t>(pos);
-      }
-      pos = end;
-      anchor = end;
-    } else {
-      chain[pos] = head[h];
-      head[h] = static_cast<int32_t>(pos);
-      ++pos;
-    }
+    ++pos;
   }
-  emit_literals(anchor, n, 0);
+  emit_literals(n);
+  out->resize(static_cast<size_t>(op - begin));
 }
 
 Status Lz4DecompressBlock(std::string_view input, size_t raw_len,
                           std::string* out) {
   out->clear();
-  if (raw_len > kMaxFrameRawSize) {
+  const size_t n = input.size();
+  // Each length-extension byte adds at most 255 output bytes, so no valid
+  // block decodes to more than 255x its own size.
+  if (raw_len > kMaxFrameRawSize || raw_len > n * 255) {
     return Status::InvalidArgument("lz4 block claims implausible raw size " +
                                    std::to_string(raw_len));
   }
-  // All bounds below keep out->size() <= raw_len, so this reserve is the
-  // only allocation and the in-place match copy never invalidates itself.
-  out->reserve(raw_len);
-  const size_t n = input.size();
+  // Sized once; every bound below keeps op <= raw_len, so literals and
+  // matches are copied straight into place.
+  out->resize(raw_len);
+  uint8_t* const dst = reinterpret_cast<uint8_t*>(out->data());
+  const uint8_t* const src = reinterpret_cast<const uint8_t*>(input.data());
   size_t ip = 0;
+  size_t op = 0;
 
   const auto read_run_length = [&](size_t nibble, size_t* len) -> Status {
     *len = nibble;
-    if (nibble != 15) return Status::OK();
-    uint8_t b;
-    do {
+    for (uint8_t b = 0xff; nibble == 15 && b == 0xff;) {
       if (ip >= n) {
         return Status::InvalidArgument("lz4 block truncated in length field");
       }
-      b = static_cast<uint8_t>(input[ip++]);
+      b = src[ip++];
       *len += b;
       if (*len > kMaxFrameRawSize) {
         return Status::InvalidArgument("lz4 run length overflows block");
       }
-    } while (b == 0xff);
+    }
     return Status::OK();
   };
 
-  while (ip < n) {
-    const uint8_t token = static_cast<uint8_t>(input[ip++]);
-    size_t literal_len = 0;
-    MRMB_RETURN_IF_ERROR(read_run_length(token >> 4, &literal_len));
-    if (literal_len > n - ip) {
-      return Status::InvalidArgument("lz4 literal run reads past block end");
-    }
-    if (literal_len > raw_len - out->size()) {
-      return Status::InvalidArgument("lz4 literal run overflows raw size");
-    }
-    out->append(input.data() + ip, literal_len);
-    ip += literal_len;
-    if (ip == n) break;  // final sequence: literals only, no match part
+  const auto decode = [&]() -> Status {
+    while (ip < n) {
+      const uint8_t token = src[ip++];
+      size_t literal_len = 0;
+      MRMB_RETURN_IF_ERROR(read_run_length(token >> 4, &literal_len));
+      if (literal_len > n - ip) {
+        return Status::InvalidArgument("lz4 literal run reads past block end");
+      }
+      if (literal_len > raw_len - op) {
+        return Status::InvalidArgument("lz4 literal run overflows raw size");
+      }
+      CopyBytes(dst + op, src + ip, SIZE_MAX, literal_len,
+                std::min(n - ip, raw_len - op));
+      op += literal_len;
+      ip += literal_len;
+      if (ip == n) break;  // final sequence: literals only, no match part
 
-    if (n - ip < 2) {
-      return Status::InvalidArgument("lz4 block truncated in match offset");
+      if (n - ip < 2) {
+        return Status::InvalidArgument("lz4 block truncated in match offset");
+      }
+      const size_t offset = src[ip] | (static_cast<size_t>(src[ip + 1]) << 8);
+      ip += 2;
+      if (offset == 0 || offset > op) {
+        return Status::InvalidArgument(StringPrintf(
+            "lz4 match offset %zu out of range (window %zu)", offset, op));
+      }
+      size_t match_len = 0;
+      MRMB_RETURN_IF_ERROR(read_run_length(token & 0xf, &match_len));
+      match_len += kMinMatch;
+      if (match_len > raw_len - op) {
+        return Status::InvalidArgument("lz4 match overflows raw size");
+      }
+      CopyBytes(dst + op, dst + op - offset, offset, match_len, raw_len - op);
+      op += match_len;
     }
-    const size_t offset = static_cast<uint8_t>(input[ip]) |
-                          (static_cast<size_t>(
-                               static_cast<uint8_t>(input[ip + 1]))
-                           << 8);
-    ip += 2;
-    if (offset == 0 || offset > out->size()) {
-      return Status::InvalidArgument(
-          StringPrintf("lz4 match offset %zu out of range (window %zu)",
-                       offset, out->size()));
+    if (op != raw_len) {
+      return Status::InvalidArgument(StringPrintf(
+          "lz4 block decoded to %zu bytes, frame claims %zu", op, raw_len));
     }
-    size_t match_len = 0;
-    MRMB_RETURN_IF_ERROR(read_run_length(token & 0xf, &match_len));
-    match_len += kMinMatch;
-    if (match_len > raw_len - out->size()) {
-      return Status::InvalidArgument("lz4 match overflows raw size");
-    }
-    // Byte-wise copy: overlapping matches (offset < match_len) replicate
-    // the run, exactly like the reference decoder.
-    size_t src = out->size() - offset;
-    for (size_t i = 0; i < match_len; ++i) {
-      out->push_back((*out)[src + i]);
-    }
-  }
-  if (out->size() != raw_len) {
-    return Status::InvalidArgument(
-        StringPrintf("lz4 block decoded to %zu bytes, frame claims %zu",
-                     out->size(), raw_len));
-  }
-  return Status::OK();
+    return Status::OK();
+  };
+
+  Status status = decode();
+  if (!status.ok()) out->clear();
+  return status;
 }
 
 Status BlockCompress(MapOutputCodec codec, std::string_view raw,
                      std::string* frame) {
   frame->clear();
+  if (codec == MapOutputCodec::kNone) {
+    return Status::InvalidArgument(
+        "BlockCompress requires a real codec; 'none' bypasses framing");
+  }
   std::string payload;
-  uint8_t method = kMethodStored;
-  switch (codec) {
-    case MapOutputCodec::kNone:
-      return Status::InvalidArgument(
-          "BlockCompress requires a real codec; 'none' bypasses framing");
-    case MapOutputCodec::kLz4:
-      Lz4CompressBlock(raw, &payload);
-      method = kMethodLz4;
-      break;
-    case MapOutputCodec::kDeflate:
-      MRMB_RETURN_IF_ERROR(DeflateCompress(raw, &payload));
-      method = kMethodDeflate;
-      break;
+  if (codec == MapOutputCodec::kLz4) {
+    Lz4CompressBlock(raw, &payload);
+  } else {
+    MRMB_RETURN_IF_ERROR(DeflateCompress(raw, &payload));
   }
   if (payload.size() >= raw.size()) {
     // Stored fallback: incompressible payloads cost the 17-byte header,
     // never an expansion of the payload itself.
-    payload.assign(raw.data(), raw.size());
-    method = kMethodStored;
+    BlockStore(raw, frame);
+  } else {
+    WriteFrame(codec == MapOutputCodec::kLz4 ? kMethodLz4 : kMethodDeflate,
+               raw.size(), payload, frame);
   }
-  BufferWriter writer(frame);
-  writer.AppendFixed32(kFrameMagic);
-  writer.AppendByte(method);
-  writer.AppendFixed64(raw.size());
-  const std::string_view header_tail =
-      std::string_view(*frame).substr(4, kCodecFrameHeaderSize - 8);
-  writer.AppendFixed32(FrameCrc(header_tail, payload));
-  writer.AppendRaw(payload);
   return Status::OK();
 }
 
 void BlockStore(std::string_view raw, std::string* frame) {
-  frame->clear();
-  BufferWriter writer(frame);
-  writer.AppendFixed32(kFrameMagic);
-  writer.AppendByte(kMethodStored);
-  writer.AppendFixed64(raw.size());
-  const std::string_view header_tail =
-      std::string_view(*frame).substr(4, kCodecFrameHeaderSize - 8);
-  writer.AppendFixed32(FrameCrc(header_tail, raw));
-  writer.AppendRaw(raw);
+  WriteFrame(kMethodStored, raw.size(), raw, frame);
 }
 
 namespace {
 
 uint32_t LoadBe32(const char* p) {
-  return (static_cast<uint32_t>(static_cast<uint8_t>(p[0])) << 24) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(p[1])) << 16) |
-         (static_cast<uint32_t>(static_cast<uint8_t>(p[2])) << 8) |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[3]));
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return __builtin_bswap32(v);  // frames are big-endian, hosts little
 }
 
 void StoreBe32(uint32_t v, char* p) {
-  p[0] = static_cast<char>(v >> 24);
-  p[1] = static_cast<char>(v >> 16);
-  p[2] = static_cast<char>(v >> 8);
-  p[3] = static_cast<char>(v);
+  v = __builtin_bswap32(v);
+  std::memcpy(p, &v, sizeof(v));
 }
 
 // CRC over the checksummed span of `frame` (method + raw_len + payload).

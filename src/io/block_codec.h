@@ -5,11 +5,14 @@
 // gain" — is a CPU-vs-bytes trade, and measuring it honestly needs a codec
 // fast enough that the CPU side doesn't drown the win. This module provides:
 //
-//   - An in-repo LZ4-style byte-oriented block codec (greedy hash-chain
-//     match finder on 4-byte quads, literal/match token framing with the
-//     classic 4+4 bit token and 255-run length extensions, 16-bit match
-//     offsets). No entropy stage, so both directions run at memory-ish
-//     speed — the Hadoop "speed codec" role (lz4/snappy).
+//   - An in-repo LZ4 block codec in reference "fast" mode: a single-probe
+//     hash table of 4-byte quads (reused across blocks), a probe step that
+//     widens through long literal runs, backward match extension, and the
+//     classic 4+4 bit token with 255-run length extensions and 16-bit
+//     match offsets. The decoder sizes its output once and copies literals
+//     and matches with memcpy (chunked for self-overlapping matches). No
+//     entropy stage, so both directions run at memory-ish speed — the
+//     Hadoop "speed codec" role (lz4/snappy).
 //   - A framed wrapper that prefixes any payload with a checksummed header
 //     (magic, method, raw length, CRC32C over method+length+payload) and
 //     falls back to a stored block whenever compression does not shrink the
@@ -57,7 +60,7 @@ size_t Lz4CompressBound(size_t raw_len);
 // expected decompressed size (carried by the frame header); decoding fails
 // with InvalidArgument if the stream is malformed, reads past its bounds,
 // references data before the start of the output, or does not decode to
-// exactly `raw_len` bytes.
+// exactly `raw_len` bytes. *out is empty after any error.
 Status Lz4DecompressBlock(std::string_view input, size_t raw_len,
                           std::string* out);
 
@@ -101,7 +104,8 @@ Status RepairCodecFrameSingleBitFlip(std::string* frame);
 // Decodes a frame produced by BlockCompress (*raw overwritten). The method
 // byte makes frames self-describing, so the decoder does not need to know
 // which codec produced them. Returns InvalidArgument on structural
-// corruption and DataLoss on a frame-checksum mismatch.
+// corruption and DataLoss on a frame-checksum mismatch; *raw is empty after
+// any error.
 Status BlockDecompress(std::string_view frame, std::string* raw);
 
 // Decompressed size a frame claims to decode to, without decoding it.

@@ -344,7 +344,10 @@ Result<std::string> SpillStore::BuildExtentImage(
           static_cast<size_t>(off),
           static_cast<size_t>(std::min(options_.block_bytes,
                                        range.length - off)));
-      if (options_.block_codec == MapOutputCodec::kNone) {
+      // Codec-framed ranges (raw_length >= 0) are already compressed; a
+      // second pass would only fall back to a stored frame.
+      if (options_.block_codec == MapOutputCodec::kNone ||
+          range.raw_length >= 0) {
         BlockStore(chunk, &frame);
       } else {
         MRMB_RETURN_IF_ERROR(
@@ -365,10 +368,13 @@ Result<std::string> SpillStore::BuildExtentImage(
     }
   }
   if (hooks_ != nullptr && !refs->empty()) {
+    // A torn write keeps the image only up to a point inside the final
+    // frame; erase() truncates without the resize path GCC 12 misreads
+    // as an overlapping memcpy under -O3 (-Werror=restrict).
     const int64_t final_frame = refs->back().frame_len;
     const int64_t drop = std::clamp<int64_t>(
         hooks_->TornWriteBytes(task, attempt, final_frame), 0, final_frame);
-    if (drop > 0) image.resize(image.size() - static_cast<size_t>(drop));
+    image.erase(image.size() - static_cast<size_t>(drop));
   }
   *blocks_built = block_index;
   return image;

@@ -78,13 +78,13 @@ struct CostModel {
   // ~400 MB/s decompress.
   double compress_cpu_per_byte = 8.0e-9;
   double decompress_cpu_per_byte = 2.5e-9;
-  // LZ4-style block codec: cheaper per byte than DEFLATE at a lower ratio
-  // (~180 MB/s compress, ~700 MB/s decompress). Calibrated against the
-  // functional runner's in-repo codec: BENCH_data_plane.json measures
-  // 0.47 s of codec CPU on 68 MB of Text at infinite bandwidth, ~6.9
-  // ns/byte combined (see EXPERIMENTS.md).
-  double lz4_compress_cpu_per_byte = 5.5e-9;
-  double lz4_decompress_cpu_per_byte = 1.4e-9;
+  // LZ4 fast-mode block codec: cheaper per byte than DEFLATE at a lower
+  // ratio (~285 MB/s compress, ~1.25 GB/s decompress, per raw byte). Fitted
+  // to bench/micro_kernels BM_BlockCompress / BM_BlockDecompress on the
+  // Text sample (1 MiB of framed records, ratio 0.757), RelWithDebInfo,
+  // GCC 12.2 on a 4-vCPU Xeon VM; see EXPERIMENTS.md.
+  double lz4_compress_cpu_per_byte = 3.5e-9;
+  double lz4_decompress_cpu_per_byte = 8.0e-10;
 
   // Per-byte CPU cost of compressing / decompressing with a given codec.
   double CompressCpuPerByte(MapOutputCodec codec) const {

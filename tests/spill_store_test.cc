@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "io/block_codec.h"
 #include "io/checksum.h"
+#include "mapred/map_output.h"
 
 namespace mrmb {
 namespace {
@@ -119,6 +120,41 @@ TEST(SpillStoreTest, RoundTripAcrossCodecs) {
       EXPECT_EQ(round->partitions[p].crc, segment.partitions[p].crc);
     }
   }
+}
+
+TEST(SpillStoreTest, CodecFramedRangesAreStoredNotRecompressed) {
+  // CompressSegment output is already lz4-framed. Its long match-length
+  // runs would shrink under a second lz4 pass, so only a writer that skips
+  // that pass yields stored frames here.
+  SpillStoreOptions options;
+  options.block_codec = MapOutputCodec::kLz4;
+  options.block_bytes = 256;
+  auto store = OpenStore(options);
+  auto framed = CompressSegment(
+      MapOutputCodec::kLz4,
+      MakeSegment(3, 200000, 0xEF, /*empty_partition=*/-1,
+                  /*compressible=*/true));
+  ASSERT_TRUE(framed.ok()) << framed.status().ToString();
+  auto put = store->Put(*framed, /*task=*/2, /*attempt=*/0);
+  ASSERT_TRUE(put.ok()) << put.status().ToString();
+  const StoredSpill& spill = **put;
+  ASSERT_GT(spill.blocks().size(), 3u);
+  for (const StoredSpill::BlockRef& ref : spill.blocks()) {
+    EXPECT_EQ(ref.frame_len,
+              ref.raw_len + static_cast<int64_t>(kCodecFrameHeaderSize));
+  }
+  const int64_t per_block = 4 + static_cast<int64_t>(kCodecFrameHeaderSize);
+  EXPECT_LE(store->stats().bytes_written,
+            framed->total_bytes() +
+                per_block * static_cast<int64_t>(spill.blocks().size()));
+  for (int p = 0; p < 3; ++p) {
+    auto bytes = spill.ReadPartition(p, /*verify_partition_crc=*/true);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    EXPECT_EQ(*bytes, framed->PartitionData(p));
+  }
+  auto round = spill.ReadSegment(/*verify=*/true);
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+  EXPECT_EQ(round->data, framed->data);
 }
 
 TEST(SpillStoreTest, SmallBlocksAndEmptyPartitionRoundTrip) {
