@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -26,6 +27,13 @@ struct ByteCase {
   const char* text;
   int64_t expected;
 };
+
+// Print the spelling rather than the struct's raw bytes: the raw bytes hold
+// the string literal's address, which changes from run to run, and gtest and
+// CTest build the case names from this output.
+void PrintTo(const ByteCase& c, std::ostream* os) {
+  *os << '"' << c.text << '"';
+}
 
 class ParseBytesTest : public ::testing::TestWithParam<ByteCase> {};
 
@@ -61,6 +69,10 @@ struct DurationCase {
   const char* text;
   SimTime expected;
 };
+
+void PrintTo(const DurationCase& c, std::ostream* os) {
+  *os << '"' << c.text << '"';
+}
 
 class ParseDurationTest : public ::testing::TestWithParam<DurationCase> {};
 
