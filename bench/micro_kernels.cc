@@ -17,6 +17,9 @@
 #include "io/kv_buffer.h"
 #include "io/merge.h"
 #include "io/record_gen.h"
+#include "mapred/job_conf.h"
+#include "mapred/map_output.h"
+#include "mapred/null_formats.h"
 #include "mapred/partitioner.h"
 #include "sim/fairshare.h"
 
@@ -272,6 +275,65 @@ void BM_KvBufferParallelSort(benchmark::State& state) {
                           kRecords);
 }
 BENCHMARK(BM_KvBufferParallelSort)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+
+std::string SerializedLong(int64_t v) {
+  BufferWriter writer;
+  LongWritable(v).Serialize(&writer);
+  return writer.data();
+}
+
+// Collect+sort in the MR-SKEW sum-combine shape: 16-byte LongWritable
+// records over 16 distinct keys, half of them to partition 0 and the rest
+// spread over partitions 1..15. Arg = records per spill (250000 is one
+// 4 MB sort buffer).
+void BM_KvBufferCollectAndSortLong(benchmark::State& state) {
+  const auto records = static_cast<int64_t>(state.range(0));
+  constexpr int kPartitions = 16;
+  std::vector<std::string> keys;
+  for (int64_t k = 0; k < 16; ++k) keys.push_back(SerializedLong(k));
+  const std::string value = SerializedLong(1);
+  KvBuffer buffer(DataType::kLongWritable, kPartitions,
+                  static_cast<size_t>(records + 1) * 32);
+  for (auto _ : state) {
+    buffer.Clear();
+    for (int64_t i = 0; i < records; ++i) {
+      const int partition =
+          (i & 1) == 0 ? 0 : 1 + static_cast<int>((i >> 1) % (kPartitions - 1));
+      buffer.Append(partition, keys[static_cast<size_t>(i % 16)], value);
+    }
+    buffer.Sort();
+    benchmark::DoNotOptimize(buffer.records());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * records);
+}
+BENCHMARK(BM_KvBufferCollectAndSortLong)->Arg(10000)->Arg(250000);
+
+// Per-spill combine of one sorted LongWritable run (16 distinct keys) with
+// the sum combiner: the SegmentReader -> GroupedIterator -> SummingReducer
+// read loop. Arg = records in the run.
+void BM_CombineSortedRunSum(benchmark::State& state) {
+  const auto records = static_cast<int64_t>(state.range(0));
+  std::vector<std::string> keys;
+  for (int64_t k = 0; k < 16; ++k) keys.push_back(SerializedLong(k));
+  const std::string value = SerializedLong(1);
+  KvBuffer buffer(DataType::kLongWritable, 1,
+                  static_cast<size_t>(records + 1) * 32);
+  for (int64_t i = 0; i < records; ++i) {
+    buffer.Append(0, keys[static_cast<size_t>(i % 16)], value);
+  }
+  buffer.Sort();
+  const SpillSegment spill = buffer.ToSpill();
+  const RawComparator* comparator = ComparatorFor(DataType::kLongWritable);
+  const JobConf conf;
+  SummingReducer combiner;
+  for (auto _ : state) {
+    Result<MergedRun> run = CombineSortedRun(spill.PartitionData(0),
+                                             comparator, &combiner, conf, 0);
+    benchmark::DoNotOptimize(run->records);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * records);
+}
+BENCHMARK(BM_CombineSortedRunSum)->Arg(10000)->Arg(250000);
 
 void BM_Partitioner(benchmark::State& state) {
   const auto pattern = static_cast<DistributionPattern>(state.range(0));

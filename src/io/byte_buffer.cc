@@ -2,60 +2,19 @@
 
 namespace mrmb {
 
-void BufferWriter::AppendFixed32(uint32_t value) {
-  char bytes[4];
-  bytes[0] = static_cast<char>(value >> 24);
-  bytes[1] = static_cast<char>(value >> 16);
-  bytes[2] = static_cast<char>(value >> 8);
-  bytes[3] = static_cast<char>(value);
-  AppendRaw(bytes, sizeof(bytes));
-}
-
-void BufferWriter::AppendFixed64(uint64_t value) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<char>(value >> (56 - 8 * i));
+size_t EncodeMultiByteVarint64(int64_t value, char* out) {
+  // Hadoop WritableUtils.writeVLong encoding: a marker byte carrying the
+  // sign and byte count, then the magnitude big-endian.
+  const bool negative = value < 0;
+  const uint64_t magnitude = negative ? ~static_cast<uint64_t>(value)
+                                      : static_cast<uint64_t>(value);
+  const size_t num_bytes = VarintLength(value) - 1;
+  out[0] = static_cast<char>((negative ? -120 : -112) -
+                             static_cast<int>(num_bytes));
+  for (size_t i = 0; i < num_bytes; ++i) {
+    out[1 + i] = static_cast<char>(magnitude >> (8 * (num_bytes - 1 - i)));
   }
-  AppendRaw(bytes, sizeof(bytes));
-}
-
-void BufferWriter::AppendVarint64(int64_t value) {
-  // Hadoop WritableUtils.writeVLong encoding.
-  if (value >= -112 && value <= 127) {
-    AppendByte(static_cast<uint8_t>(value));
-    return;
-  }
-  int len = -112;
-  uint64_t magnitude;
-  if (value < 0) {
-    magnitude = ~static_cast<uint64_t>(value);  // one's complement
-    len = -120;
-  } else {
-    magnitude = static_cast<uint64_t>(value);
-  }
-  uint64_t tmp = magnitude;
-  while (tmp != 0) {
-    tmp >>= 8;
-    --len;
-  }
-  AppendByte(static_cast<uint8_t>(len));
-  const int num_bytes = (len < -120) ? -(len + 120) : -(len + 112);
-  for (int idx = num_bytes; idx != 0; --idx) {
-    const int shift = (idx - 1) * 8;
-    AppendByte(static_cast<uint8_t>((magnitude >> shift) & 0xFF));
-  }
-}
-
-size_t VarintLength(int64_t value) {
-  if (value >= -112 && value <= 127) return 1;
-  uint64_t magnitude = value < 0 ? ~static_cast<uint64_t>(value)
-                                 : static_cast<uint64_t>(value);
-  size_t bytes = 0;
-  while (magnitude != 0) {
-    magnitude >>= 8;
-    ++bytes;
-  }
-  return 1 + bytes;
+  return 1 + num_bytes;
 }
 
 Status BufferReader::ReadByte(uint8_t* value) {
@@ -66,23 +25,15 @@ Status BufferReader::ReadByte(uint8_t* value) {
 
 Status BufferReader::ReadFixed32(uint32_t* value) {
   if (remaining() < 4) return Status::OutOfRange("buffer underflow");
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v = (v << 8) | static_cast<uint8_t>(data_[pos_ + static_cast<size_t>(i)]);
-  }
+  *value = LoadBigEndian32(data_.data() + pos_);
   pos_ += 4;
-  *value = v;
   return Status::OK();
 }
 
 Status BufferReader::ReadFixed64(uint64_t* value) {
   if (remaining() < 8) return Status::OutOfRange("buffer underflow");
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v = (v << 8) | static_cast<uint8_t>(data_[pos_ + static_cast<size_t>(i)]);
-  }
+  *value = LoadBigEndian64(data_.data() + pos_);
   pos_ += 8;
-  *value = v;
   return Status::OK();
 }
 

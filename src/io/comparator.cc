@@ -54,11 +54,7 @@ class IntComparator final : public RawComparator {
  private:
   static int32_t Decode(std::string_view raw) {
     MRMB_CHECK_GE(raw.size(), 4u);
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v = (v << 8) | static_cast<uint8_t>(raw[static_cast<size_t>(i)]);
-    }
-    return static_cast<int32_t>(v);
+    return static_cast<int32_t>(LoadBigEndian32(raw.data()));
   }
 };
 
@@ -74,11 +70,7 @@ class LongComparator final : public RawComparator {
  private:
   static int64_t Decode(std::string_view raw) {
     MRMB_CHECK_GE(raw.size(), 8u);
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v = (v << 8) | static_cast<uint8_t>(raw[static_cast<size_t>(i)]);
-    }
-    return static_cast<int64_t>(v);
+    return static_cast<int64_t>(LoadBigEndian64(raw.data()));
   }
 };
 

@@ -43,20 +43,12 @@ uint64_t NormalizedKeyPrefix(DataType type, std::string_view key) {
       // 4-byte big-endian two's complement; flipping the sign bit maps the
       // signed order onto unsigned order. Occupies the top 32 bits.
       MRMB_CHECK_GE(key.size(), 4u);
-      uint32_t v = 0;
-      for (int i = 0; i < 4; ++i) {
-        v = (v << 8) | static_cast<uint8_t>(key[static_cast<size_t>(i)]);
-      }
-      v ^= 0x80000000u;
+      const uint32_t v = LoadBigEndian32(key.data()) ^ 0x80000000u;
       return static_cast<uint64_t>(v) << 32;
     }
     case DataType::kLongWritable: {
       MRMB_CHECK_GE(key.size(), 8u);
-      uint64_t v = 0;
-      for (int i = 0; i < 8; ++i) {
-        v = (v << 8) | static_cast<uint8_t>(key[static_cast<size_t>(i)]);
-      }
-      return v ^ (1ULL << 63);
+      return LoadBigEndian64(key.data()) ^ (1ULL << 63);
     }
     case DataType::kNullWritable:
       return 0;

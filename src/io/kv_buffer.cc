@@ -1,6 +1,7 @@
 #include "io/kv_buffer.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/logging.h"
 #include "io/byte_buffer.h"
@@ -25,6 +26,50 @@ size_t FramedLength(std::string_view key, std::string_view value) {
          value.size();
 }
 
+// Stable LSD radix sort of `refs` by their 8-byte key_prefix, one byte per
+// digit. One pass builds all eight digit histograms; a digit whose value is
+// the same across the whole bucket (e.g. the sign-flipped top bytes of
+// small LongWritable keys, or the unused low half of IntWritable prefixes)
+// costs no scatter pass. Each scatter pass is stable, so equal prefixes keep
+// arrival order: for prefix-decisive key types the result is exactly what
+// std::stable_sort with the raw comparator produces. The scratch buffer
+// lives only for this call, like std::stable_sort's temporary buffer.
+template <typename Ref>
+void RadixSortByPrefix(std::vector<Ref>* refs) {
+  const size_t n = refs->size();
+  if (n < 2) return;
+  constexpr int kDigits = 8;
+  uint32_t counts[kDigits][256] = {};
+  for (const Ref& ref : *refs) {
+    for (int d = 0; d < kDigits; ++d) {
+      ++counts[d][(ref.key_prefix >> (8 * d)) & 0xFF];
+    }
+  }
+  std::unique_ptr<Ref[]> scratch;
+  Ref* src = refs->data();
+  Ref* dst = nullptr;
+  for (int d = 0; d < kDigits; ++d) {
+    const int shift = 8 * d;
+    uint32_t* count = counts[d];
+    if (count[(src[0].key_prefix >> shift) & 0xFF] == n) continue;
+    if (scratch == nullptr) {
+      scratch = std::make_unique_for_overwrite<Ref[]>(n);
+      dst = scratch.get();
+    }
+    uint32_t sum = 0;
+    for (int b = 0; b < 256; ++b) {
+      const uint32_t c = count[b];
+      count[b] = sum;
+      sum += c;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      dst[count[(src[i].key_prefix >> shift) & 0xFF]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != refs->data()) std::copy(src, src + n, refs->data());
+}
+
 }  // namespace
 
 KvBuffer::KvBuffer(DataType key_type, int num_partitions,
@@ -47,17 +92,19 @@ bool KvBuffer::Append(int partition, std::string_view key,
   const size_t frame = FramedLength(key, value);
   if (frame > capacity_ || arena_.size() + frame > capacity_) return false;
 
+  // Grow the arena once and write the whole frame in place.
   RecordRef ref;
   ref.key_prefix = NormalizedKeyPrefix(key_type_, key);
   ref.frame_offset = static_cast<uint32_t>(arena_.size());
-  BufferWriter writer(&arena_);
-  writer.AppendVarint64(static_cast<int64_t>(key.size()));
-  writer.AppendVarint64(static_cast<int64_t>(value.size()));
-  ref.key_offset = static_cast<uint32_t>(arena_.size());
+  arena_.resize(arena_.size() + frame);
+  char* out = arena_.data() + ref.frame_offset;
+  out += EncodeVarint64(static_cast<int64_t>(key.size()), out);
+  out += EncodeVarint64(static_cast<int64_t>(value.size()), out);
+  ref.key_offset = static_cast<uint32_t>(out - arena_.data());
   ref.key_len = static_cast<uint32_t>(key.size());
   ref.value_len = static_cast<uint32_t>(value.size());
-  writer.AppendRaw(key);
-  writer.AppendRaw(value);
+  out += key.copy(out, key.size());
+  value.copy(out, value.size());
   buckets_[static_cast<size_t>(partition)].push_back(ref);
   ++num_records_;
   sorted_ = false;
@@ -69,12 +116,15 @@ bool KvBuffer::Fits(std::string_view key, std::string_view value) const {
 }
 
 void KvBuffer::SortBucket(std::vector<RecordRef>* bucket) {
+  if (prefix_decisive_) {
+    RadixSortByPrefix(bucket);
+    return;
+  }
   std::stable_sort(bucket->begin(), bucket->end(),
                    [this](const RecordRef& a, const RecordRef& b) {
                      if (a.key_prefix != b.key_prefix) {
                        return a.key_prefix < b.key_prefix;
                      }
-                     if (prefix_decisive_) return false;
                      return comparator_->Compare(KeyView(a), KeyView(b)) < 0;
                    });
 }

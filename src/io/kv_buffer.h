@@ -3,14 +3,19 @@
 // KvBuffer plays the role of Hadoop's MapOutputBuffer (io.sort.mb): map
 // output records are appended in IFile framing (vint key length, vint value
 // length, key bytes, value bytes) into an arena, with a side index of
-// record references. The index is *bucketed by partition at append time*
+// record references. Append grows the arena once per record and writes the
+// whole frame in place. The index is *bucketed by partition at append time*
 // (the partition is already known in Append), so sorting never compares
 // partition ids and ToSpill is a contiguous per-partition gather. Each
-// reference caches an 8-byte normalized key prefix (io/key_prefix.h), so
-// most sort comparisons are a single uint64_t compare with a fallback to
-// the RawComparator only on prefix ties. Partitions sort independently:
-// Sort(pool) fans the per-partition sorts out over a dedicated thread pool
-// with byte-identical results for any thread count.
+// reference caches an 8-byte normalized key prefix (io/key_prefix.h). For
+// prefix-decisive key types (Int/Long/NullWritable) a bucket sorts with a
+// stable LSD radix sort on that prefix, skipping byte positions that are
+// constant across the bucket; other types use std::stable_sort, where most
+// comparisons are a single uint64_t compare with a fallback to the
+// RawComparator only on prefix ties. Both give the same order: key order,
+// then arrival order. Partitions sort independently: Sort(pool) fans the
+// per-partition sorts out over a dedicated thread pool with byte-identical
+// results for any thread count.
 
 #ifndef MRMB_IO_KV_BUFFER_H_
 #define MRMB_IO_KV_BUFFER_H_

@@ -37,15 +37,23 @@ void SegmentReader::Decode() {
                                std::to_string(pos_));
   };
   int64_t key_len = 0, value_len = 0;
-  size_t hdr = 0;
-  if (!DecodeVarint64(data_.substr(pos_), &key_len, &hdr).ok()) {
-    return fail("malformed key-length varint");
+  const auto* header = reinterpret_cast<const uint8_t*>(data_.data() + pos_);
+  if (data_.size() - pos_ >= 2 && header[0] < 0x80 && header[1] < 0x80) {
+    // Both lengths are single-byte vints in 0..127: the common header.
+    key_len = header[0];
+    value_len = header[1];
+    pos_ += 2;
+  } else {
+    size_t hdr = 0;
+    if (!DecodeVarint64(data_.substr(pos_), &key_len, &hdr).ok()) {
+      return fail("malformed key-length varint");
+    }
+    pos_ += hdr;
+    if (!DecodeVarint64(data_.substr(pos_), &value_len, &hdr).ok()) {
+      return fail("malformed value-length varint");
+    }
+    pos_ += hdr;
   }
-  pos_ += hdr;
-  if (!DecodeVarint64(data_.substr(pos_), &value_len, &hdr).ok()) {
-    return fail("malformed value-length varint");
-  }
-  pos_ += hdr;
   if (key_len < 0 || value_len < 0 ||
       static_cast<size_t>(key_len) > data_.size() - pos_ ||
       static_cast<size_t>(value_len) >
@@ -174,6 +182,8 @@ GroupedIterator::GroupedIterator(RecordStream* stream,
                                  const RawComparator* comparator)
     : stream_(stream),
       comparator_(comparator),
+      bytes_decide_equality_(comparator != nullptr &&
+                             PrefixIsDecisive(comparator->type())),
       stable_views_(stream != nullptr && stream->stable_views()) {
   MRMB_CHECK(stream_ != nullptr);
   MRMB_CHECK(comparator_ != nullptr);
@@ -190,8 +200,7 @@ bool GroupedIterator::NextGroup() {
   if (in_group_) {
     // Caller abandoned the group mid-way: skip its remaining values.
     PinGroupKey();
-    while (stream_->Valid() &&
-           comparator_->Compare(stream_->key(), group_key_) == 0) {
+    while (stream_->Valid() && InGroup(stream_->key())) {
       stream_->Next();
     }
     in_group_ = false;
@@ -212,8 +221,7 @@ bool GroupedIterator::NextValue() {
   }
   PinGroupKey();
   stream_->Next();
-  if (stream_->Valid() &&
-      comparator_->Compare(stream_->key(), group_key_) == 0) {
+  if (stream_->Valid() && InGroup(stream_->key())) {
     return true;
   }
   // Stream now rests on the next group's first record (or at end).

@@ -163,9 +163,18 @@ class GroupedIterator {
   // copy into owned_key_ at most once per group, and only for groups that
   // actually span more than one record.
   void PinGroupKey();
+  // True if `key` belongs to the current group. For well-formed keys of a
+  // prefix-decisive (fixed-width) type byte equality is exactly comparator
+  // equality, so the comparator call is skipped.
+  bool InGroup(std::string_view key) const {
+    return bytes_decide_equality_
+               ? key == group_key_
+               : comparator_->Compare(key, group_key_) == 0;
+  }
 
   RecordStream* stream_;
   const RawComparator* comparator_;
+  const bool bytes_decide_equality_;
   const bool stable_views_;
   std::string_view group_key_;
   std::string owned_key_;  // fallback storage when views are unstable

@@ -9,14 +9,6 @@ namespace mrmb {
 
 namespace {
 
-// Quota boundaries for MR-SKEW: reducers 0..2 take 50%, 25%, 12.5% of all
-// records; everything past `q2_end` is spread randomly.
-struct SkewQuotas {
-  int64_t q0_end;
-  int64_t q1_end;
-  int64_t q2_end;
-};
-
 SkewQuotas QuotasFor(int64_t total_records) {
   SkewQuotas q;
   q.q0_end = total_records / 2;
@@ -89,7 +81,9 @@ int ZipfPartitioner::Partition(std::string_view /*key*/,
 }
 
 SkewPartitioner::SkewPartitioner(uint64_t seed, int64_t total_records)
-    : rng_(seed), total_records_(total_records) {
+    : rng_(seed),
+      total_records_(total_records),
+      quotas_(QuotasFor(total_records)) {
   MRMB_CHECK_GE(total_records_, 0);
 }
 
@@ -97,10 +91,9 @@ int SkewPartitioner::Partition(std::string_view /*key*/, int64_t record_index,
                                int num_partitions) {
   MRMB_CHECK_GT(num_partitions, 0);
   MRMB_CHECK_LT(record_index, total_records_);
-  const SkewQuotas q = QuotasFor(total_records_);
-  if (record_index < q.q0_end) return ClampSlot(0, num_partitions);
-  if (record_index < q.q1_end) return ClampSlot(1, num_partitions);
-  if (record_index < q.q2_end) return ClampSlot(2, num_partitions);
+  if (record_index < quotas_.q0_end) return ClampSlot(0, num_partitions);
+  if (record_index < quotas_.q1_end) return ClampSlot(1, num_partitions);
+  if (record_index < quotas_.q2_end) return ClampSlot(2, num_partitions);
   // NOTE: tail records must be partitioned in index order for the stream of
   // random draws to match PlanPartitionCounts().
   return static_cast<int>(rng_.Uniform(static_cast<uint64_t>(num_partitions)));

@@ -86,6 +86,14 @@ class ZipfPartitioner final : public Partitioner {
   std::vector<double> cdf_;
 };
 
+// Quota boundaries for MR-SKEW: reducers 0..2 take 50%, 25%, 12.5% of all
+// records; everything past `q2_end` is spread randomly.
+struct SkewQuotas {
+  int64_t q0_end;
+  int64_t q1_end;
+  int64_t q2_end;
+};
+
 // MR-SKEW. The cumulative quota shape (0.5, 0.75, 0.875 of all records to
 // reducers 0, 1, 2) is enforced exactly; the tail is random.
 class SkewPartitioner final : public Partitioner {
@@ -99,6 +107,7 @@ class SkewPartitioner final : public Partitioner {
  private:
   Rng rng_;
   int64_t total_records_;
+  SkewQuotas quotas_;  // computed once from total_records_
 };
 
 // TeraSort-style total-order partitioner: reducer r receives keys in

@@ -104,6 +104,80 @@ TEST_P(FuzzDecodeTest, SegmentReaderSurvivesGarbage) {
   }
 }
 
+// Named regressions for SegmentReader's single-byte header fast path:
+// every malformed frame must end the stream with DataLoss after exactly
+// the well-formed records before it, never crash or read past the slice.
+int64_t ReadUntilEnd(SegmentReader* reader) {
+  int64_t records = 0;
+  while (reader->Valid()) {
+    (void)reader->key();
+    (void)reader->value();
+    reader->Next();
+    ++records;
+  }
+  return records;
+}
+
+void ExpectDataLossAfter(std::string_view bytes, int64_t good_records) {
+  SCOPED_TRACE(::testing::Message() << "frame bytes=" << bytes.size());
+  SegmentReader reader(bytes);
+  EXPECT_EQ(ReadUntilEnd(&reader), good_records);
+  EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss)
+      << reader.status().ToString();
+}
+
+// "k" -> "v" as one well-formed frame.
+const std::string kGoodFrame("\x01\x01kv", 4);
+
+TEST(SegmentReaderHeaderTest, HighBitFirstHeaderByteIsDataLoss) {
+  // 0x90..0xFF are single-byte negative lengths (-112..-1).
+  ExpectDataLossAfter(std::string("\xff\x01kv", 4), 0);
+  ExpectDataLossAfter(std::string("\x90\x01kv", 4), 0);
+  ExpectDataLossAfter(kGoodFrame + std::string("\xc0\x00", 2), 1);
+  // 0x80..0x8F are multi-byte markers: a negative length (0x87 = one
+  // magnitude byte, negative), a positive length running past the slice
+  // (0x8F 0xC8 = 200), and an 8-byte magnitude cut short (0x80).
+  ExpectDataLossAfter(std::string("\x87\x05\x01kv", 5), 0);
+  ExpectDataLossAfter(std::string("\x8f\xc8\x01kv", 5), 0);
+  ExpectDataLossAfter(std::string("\x80\x01\x02", 3), 0);
+  // The value length may be the multi-byte or negative one, too.
+  ExpectDataLossAfter(std::string("\x01\xffkv", 4), 0);
+  ExpectDataLossAfter(std::string("\x01\x8f", 2), 0);
+  // 0x80 is the 8-byte negative marker, not a length of 128.
+  ExpectDataLossAfter(std::string("\x01\x80k", 3) + std::string(128, 'v'), 0);
+}
+
+TEST(SegmentReaderHeaderTest, LoneTrailingHeaderByteIsDataLoss) {
+  ExpectDataLossAfter(std::string("\x00", 1), 0);
+  ExpectDataLossAfter(std::string("\x7f", 1), 0);
+  ExpectDataLossAfter(kGoodFrame + std::string("\x00", 1), 1);
+  ExpectDataLossAfter(kGoodFrame + kGoodFrame + std::string("\x03", 1), 2);
+}
+
+TEST(SegmentReaderHeaderTest, TwoByteHeaderPastTheSliceIsDataLoss) {
+  // Key runs past the slice.
+  ExpectDataLossAfter(std::string("\x05\x00" "abc", 5), 0);
+  ExpectDataLossAfter(kGoodFrame + std::string("\x7f\x00k", 3), 1);
+  // Key fits, value runs past the slice.
+  ExpectDataLossAfter(std::string("\x01\x05kab", 5), 0);
+  ExpectDataLossAfter(kGoodFrame + std::string("\x00\x7f", 2), 1);
+  // Header only.
+  ExpectDataLossAfter(std::string("\x01\x01", 2), 0);
+}
+
+TEST(SegmentReaderHeaderTest, FastPathStillValidatesKeyWireFormat) {
+  // A 4-byte key framed with a valid header is not a LongWritable.
+  const std::string frame("\x04\x00" "abcd", 6);
+  SegmentReader reader(frame, DataType::kLongWritable);
+  EXPECT_EQ(ReadUntilEnd(&reader), 0);
+  EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
+  // The same frame with an 8-byte key passes.
+  SegmentReader good(std::string_view("\x08\x00" "abcdefgh", 10),
+                     DataType::kLongWritable);
+  EXPECT_EQ(ReadUntilEnd(&good), 1);
+  EXPECT_TRUE(good.status().ok()) << good.status().ToString();
+}
+
 TEST_P(FuzzDecodeTest, Lz4DecoderSurvivesGarbage) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 0x124c0de);
   for (int i = 0; i < 300; ++i) {

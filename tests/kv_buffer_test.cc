@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "io/byte_buffer.h"
+#include "io/comparator.h"
+#include "io/key_prefix.h"
 #include "io/merge.h"
 
 namespace mrmb {
@@ -150,6 +157,126 @@ TEST(KvBufferTest, TextKeysSortLexicographically) {
   EXPECT_EQ(buffer.KeyAt(0), wire_text("apple"));
   EXPECT_EQ(buffer.KeyAt(1), wire_text("orange"));
   EXPECT_EQ(buffer.KeyAt(2), wire_text("pear"));
+}
+
+TEST(KvBufferTest, LongRecordsRoundTripThroughMultiByteHeaders) {
+  // Key and value lengths past 127 take multi-byte vint headers; the
+  // one-shot Append must frame them exactly as SegmentReader decodes them.
+  KvBuffer buffer(DataType::kBytesWritable, 1, 1 << 20);
+  const std::string short_key = WireBytes("k");
+  const std::string long_key = WireBytes(std::string(300, 'a'));
+  const std::string long_value = WireBytes(std::string(70000, 'v'));
+  ASSERT_TRUE(buffer.Append(0, long_key, WireBytes("1")));
+  ASSERT_TRUE(buffer.Append(0, short_key, long_value));
+  // vint(304) and vint(70004) take 3 and 4 bytes; vint(5) takes 1.
+  EXPECT_EQ(buffer.bytes_used(),
+            (3 + 1 + long_key.size() + 5) + (1 + 4 + 5 + long_value.size()));
+  buffer.Sort();
+  const SpillSegment spill = buffer.ToSpill();
+  SegmentReader reader(spill.PartitionData(0), DataType::kBytesWritable);
+  ASSERT_TRUE(reader.Valid());
+  EXPECT_EQ(reader.key(), long_key);
+  EXPECT_EQ(reader.value(), WireBytes("1"));
+  reader.Next();
+  ASSERT_TRUE(reader.Valid());
+  EXPECT_EQ(reader.key(), short_key);
+  EXPECT_EQ(reader.value(), long_value);
+  reader.Next();
+  EXPECT_FALSE(reader.Valid());
+  EXPECT_TRUE(reader.status().ok()) << reader.status().ToString();
+}
+
+// ---- Radix sort equivalence ----------------------------------------------
+// For prefix-decisive key types each bucket is sorted by a stable LSD radix
+// sort on the key prefix. Its order must equal std::stable_sort under the
+// type's RawComparator, arrival order among equal keys included.
+
+enum class KeyShape { kRandom, kAllEqual, kTopByteOnly, kBottomByteOnly };
+
+// A key value of `type` in `shape`: random full-width bits, one constant,
+// or a constant whose most (least) significant byte is random — i.e. keys
+// differing only in the top (bottom) byte of their prefix bits.
+int64_t ShapedKey(DataType type, KeyShape shape, Rng* rng) {
+  const int width = type == DataType::kLongWritable ? 64 : 32;
+  const uint64_t base = 0xA55A3CC3F00F6996ULL;
+  const uint64_t byte = rng->Uniform(256);
+  uint64_t bits = base;
+  switch (shape) {
+    case KeyShape::kRandom:
+      bits = rng->Next64();
+      break;
+    case KeyShape::kAllEqual:
+      break;
+    case KeyShape::kTopByteOnly:
+      bits = (base & ~(0xFFULL << (width - 8))) | (byte << (width - 8));
+      break;
+    case KeyShape::kBottomByteOnly:
+      bits = (base & ~0xFFULL) | byte;
+      break;
+  }
+  return type == DataType::kLongWritable ? static_cast<int64_t>(bits)
+                                         : static_cast<int32_t>(bits);
+}
+
+std::string WireKey(DataType type, int64_t v) {
+  BufferWriter writer;
+  if (type == DataType::kLongWritable) {
+    LongWritable(v).Serialize(&writer);
+  } else if (type == DataType::kIntWritable) {
+    IntWritable(static_cast<int32_t>(v)).Serialize(&writer);
+  } else {
+    NullWritable().Serialize(&writer);
+  }
+  return writer.data();
+}
+
+TEST(KvBufferRadixSortTest, MatchesStableSortUnderTheRawComparator) {
+  struct Record {
+    std::string key;
+    int64_t arrival;
+  };
+  uint64_t seed = 1;
+  for (DataType type : {DataType::kIntWritable, DataType::kLongWritable,
+                        DataType::kNullWritable}) {
+    ASSERT_TRUE(PrefixIsDecisive(type));
+    const RawComparator* comparator = ComparatorFor(type);
+    for (KeyShape shape : {KeyShape::kRandom, KeyShape::kAllEqual,
+                           KeyShape::kTopByteOnly, KeyShape::kBottomByteOnly}) {
+      for (int64_t size : {0, 1, 2, 3, 255, 256, 257, 100000}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "type=" << static_cast<int>(type)
+                     << " shape=" << static_cast<int>(shape)
+                     << " size=" << size);
+        Rng rng(++seed);
+        KvBuffer buffer(type, 1, static_cast<size_t>(size + 1) * 32);
+        std::vector<Record> expected;
+        for (int64_t i = 0; i < size; ++i) {
+          const std::string key = WireKey(type, ShapedKey(type, shape, &rng));
+          const std::string arrival = WireKey(DataType::kLongWritable, i);
+          ASSERT_TRUE(buffer.Append(0, key, arrival));
+          expected.push_back({key, i});
+        }
+        std::stable_sort(expected.begin(), expected.end(),
+                         [comparator](const Record& a, const Record& b) {
+                           return comparator->Compare(a.key, b.key) < 0;
+                         });
+        buffer.Sort();
+        ASSERT_EQ(buffer.records(), size);
+        int64_t first_mismatch = size;
+        for (int64_t i = 0; i < size && first_mismatch == size; ++i) {
+          BufferReader value(buffer.ValueAt(i));
+          uint64_t arrival = 0;
+          ASSERT_TRUE(value.ReadFixed64(&arrival).ok());
+          const Record& want = expected[static_cast<size_t>(i)];
+          if (buffer.KeyAt(i) != want.key ||
+              static_cast<int64_t>(arrival) != want.arrival) {
+            first_mismatch = i;
+          }
+        }
+        EXPECT_EQ(first_mismatch, size);
+      }
+    }
+  }
 }
 
 TEST(SpillSegmentTest, PartitionDataOutOfRangeDies) {

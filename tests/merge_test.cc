@@ -156,10 +156,11 @@ TEST(MergeIteratorTest, MergesSortedStreams) {
 }
 
 TEST(MergeIteratorTest, SkipsEmptyStreams) {
+  // The reader views its slice, so the segment must outlive the merge.
+  const std::string segment = FramedSegment({{"x", "1"}});
   std::vector<std::unique_ptr<RecordStream>> inputs;
   inputs.push_back(std::make_unique<SegmentReader>(""));
-  inputs.push_back(
-      std::make_unique<SegmentReader>(FramedSegment({{"x", "1"}})));
+  inputs.push_back(std::make_unique<SegmentReader>(segment));
   inputs.push_back(std::make_unique<SegmentReader>(""));
   MergeIterator merged(std::move(inputs),
                        ComparatorFor(DataType::kBytesWritable));

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -55,6 +57,12 @@ std::string WireInt(int32_t value) {
   return writer.data();
 }
 
+std::string WireLong(int64_t value) {
+  BufferWriter writer;
+  LongWritable(value).Serialize(&writer);
+  return writer.data();
+}
+
 // Fills `buffer` with `records` pseudo-random records of `type` spread over
 // the buffer's partitions. Never spills (caller sizes the buffer).
 void FillBuffer(KvBuffer* buffer, DataType type, int64_t records,
@@ -79,6 +87,44 @@ void FillBuffer(KvBuffer* buffer, DataType type, int64_t records,
         key = WireBytes(RandomPayload(&rng, 1, 8));
         break;
     }
+    const std::string value = WireBytes(RandomPayload(&rng, 0, 16));
+    ASSERT_TRUE(buffer->Append(partition, key, value));
+  }
+}
+
+// Fills `buffer` with fixed-width keys (IntWritable or LongWritable) that
+// carry every edge an order-preserving key encoding can get wrong: negative
+// keys, the type's minimum and maximum, small keys with many duplicates,
+// full-width random keys, and one partition (0) where every key is equal.
+void FillFixedWidthEdges(KvBuffer* buffer, DataType type, int64_t records,
+                         uint64_t seed) {
+  const bool is_long = type == DataType::kLongWritable;
+  const int64_t min = is_long ? std::numeric_limits<int64_t>::min()
+                              : std::numeric_limits<int32_t>::min();
+  const int64_t max = is_long ? std::numeric_limits<int64_t>::max()
+                              : std::numeric_limits<int32_t>::max();
+  Rng rng(seed);
+  for (int64_t i = 0; i < records; ++i) {
+    const int partition =
+        static_cast<int>(rng.Uniform(
+            static_cast<uint64_t>(buffer->num_partitions())));
+    int64_t v = -42;  // partition 0: all keys equal
+    if (partition != 0) {
+      switch (rng.Uniform(4)) {
+        case 0:
+          v = rng.Uniform(2) == 0 ? min : max;
+          break;
+        case 1:
+          v = static_cast<int64_t>(rng.Uniform(16)) - 8;
+          break;
+        default:
+          v = is_long ? static_cast<int64_t>(rng.Next64())
+                      : static_cast<int32_t>(rng.Next64());
+          break;
+      }
+    }
+    const std::string key =
+        is_long ? WireLong(v) : WireInt(static_cast<int32_t>(v));
     const std::string value = WireBytes(RandomPayload(&rng, 0, 16));
     ASSERT_TRUE(buffer->Append(partition, key, value));
   }
@@ -118,11 +164,23 @@ uint32_t SortedSpillFingerprint(DataType type, int num_partitions,
   return SpillFingerprint(buffer.ToSpill());
 }
 
+uint32_t EdgeSpillFingerprint(DataType type, int threads) {
+  KvBuffer buffer(type, 4, 64u << 20);
+  FillFixedWidthEdges(&buffer, type, 30000, 0x5EED);
+  SortWithThreads(&buffer, threads);
+  return SpillFingerprint(buffer.ToSpill());
+}
+
 // Golden fingerprints captured from the pre-rewrite engine
 // (std::stable_sort over a (partition, key) comparator, binary-heap merge).
 constexpr uint32_t kGoldenBytesSpill = 0x67a45a38u;
 constexpr uint32_t kGoldenTextSpill = 0x9dfc8e19u;
 constexpr uint32_t kGoldenIntSpill = 0x59049c2fu;
+// Captured from the std::stable_sort bucket sort (prefix compare, no
+// comparator fallback for fixed-width keys) before fixed-width buckets
+// moved to the radix sort.
+constexpr uint32_t kGoldenLongEdgeSpill = 0x96ebab6fu;
+constexpr uint32_t kGoldenIntEdgeSpill = 0xed8028beu;
 constexpr uint32_t kGoldenJobOutput = 0x6351b944u;
 
 TEST(SortDeterminismTest, BytesSpillMatchesGoldenAcrossThreadCounts) {
@@ -149,6 +207,24 @@ TEST(SortDeterminismTest, IntSpillMatchesGoldenAcrossThreadCounts) {
         SortedSpillFingerprint(DataType::kIntWritable, 4, 10000, 0x11,
                                threads),
         kGoldenIntSpill)
+        << "threads=" << threads;
+  }
+}
+
+// IntSpillMatchesGolden already covers random (half negative) IntWritable
+// keys; the edge sets add the type extremes and an all-equal partition.
+TEST(SortDeterminismTest, LongEdgeSpillMatchesGoldenAcrossThreadCounts) {
+  for (int threads : {1, 2, 8}) {
+    EXPECT_EQ(EdgeSpillFingerprint(DataType::kLongWritable, threads),
+              kGoldenLongEdgeSpill)
+        << "threads=" << threads;
+  }
+}
+
+TEST(SortDeterminismTest, IntEdgeSpillMatchesGoldenAcrossThreadCounts) {
+  for (int threads : {1, 2, 8}) {
+    EXPECT_EQ(EdgeSpillFingerprint(DataType::kIntWritable, threads),
+              kGoldenIntEdgeSpill)
         << "threads=" << threads;
   }
 }
