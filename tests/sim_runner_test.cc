@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
+#include <string>
 
+#include "io/checksum.h"
 #include "mapred/local_runner.h"
 #include "net/network_profile.h"
+#include "sim/fault_plan.h"
 
 namespace mrmb {
 namespace {
@@ -268,6 +272,139 @@ TEST(SimRunnerTest, SingleMapSingleReduce) {
   EXPECT_GT(result.job_seconds, 0);
   EXPECT_EQ(result.reducer_bytes.size(), 1u);
   EXPECT_EQ(result.reducer_bytes[0], result.total_shuffle_bytes);
+}
+
+
+// ---- Golden timelines --------------------------------------------------
+// Exact results of fixed simulations, captured before the max-min solver,
+// the fluid pools and the partition planner were rewritten for speed. The
+// rewrite must not move a single event: job time is compared bit for bit
+// (as a hexfloat), along with the event count and a CRC over every task's
+// node, attempts and start/finish instants. A change to any of these is a
+// change to the model, not an optimisation.
+
+struct GoldenTimeline {
+  double job_seconds;
+  uint64_t events;
+  uint32_t timeline_crc;
+};
+
+uint32_t TimelineCrc(const SimJobResult& result) {
+  std::string bytes;
+  auto put = [&bytes](int64_t v) {
+    char raw[sizeof(v)];
+    std::memcpy(raw, &v, sizeof(v));
+    bytes.append(raw, sizeof(v));
+  };
+  for (const SimJobResult::TaskRecord& task : result.timeline) {
+    put(task.id);
+    put(task.is_map ? 1 : 0);
+    put(task.node);
+    put(task.attempts);
+    put(task.start_time);
+    put(task.finish_time);
+  }
+  return Crc32c(bytes);
+}
+
+// 32 maps x 16 reduces on 4 slaves: several concurrent fetches share each
+// (source, destination) pair and several tasks share each node's cores and
+// disks. A 1 GB shuffle of 500-byte pairs makes MR-RAND/MR-ZIPF draw
+// ~2.1 M partition numbers, enough for the planner to use threads.
+JobConf GoldenJob(DistributionPattern pattern) {
+  JobConf conf = SmallJob(pattern, 32, 16);
+  conf.record.key_size = 250;
+  conf.record.value_size = 250;
+  conf.records_per_map = (1024LL * 1024 * 1024) / (504LL * 32);
+  return conf;
+}
+
+ClusterSpec OversubscribedTenGigE() {
+  ClusterSpec spec = ClusterA(TenGigE(), 4);
+  spec.oversubscription = 0.5;
+  return spec;
+}
+
+void ExpectGolden(const ClusterSpec& spec, const JobConf& conf,
+                  const GoldenTimeline& golden) {
+  SimCluster cluster(spec);
+  SimJobRunner runner(&cluster, conf, CostModel::Default());
+  auto result = runner.Run();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->job_seconds, golden.job_seconds)
+      << std::hexfloat << result->job_seconds;
+  EXPECT_EQ(cluster.sim()->events_processed(), golden.events);
+  EXPECT_EQ(TimelineCrc(*result), golden.timeline_crc)
+      << std::hex << "0x" << TimelineCrc(*result);
+}
+
+TEST(SimRunnerGoldenTest, AverageOneGigE) {
+  ExpectGolden(ClusterA(OneGigE(), 4), GoldenJob(DistributionPattern::kAverage),
+               {0x1.8772cc2337454p+3, 1831, 0x54991c64});
+}
+
+TEST(SimRunnerGoldenTest, RandomOneGigE) {
+  ExpectGolden(ClusterA(OneGigE(), 4), GoldenJob(DistributionPattern::kRandom),
+               {0x1.878d247713eeep+3, 2221, 0x33a14f0f});
+}
+
+TEST(SimRunnerGoldenTest, SkewOneGigE) {
+  ExpectGolden(ClusterA(OneGigE(), 4), GoldenJob(DistributionPattern::kSkewed),
+               {0x1.e9d22ac0509b3p+3, 2270, 0x13a08483});
+}
+
+TEST(SimRunnerGoldenTest, ZipfOneGigE) {
+  ExpectGolden(ClusterA(OneGigE(), 4), GoldenJob(DistributionPattern::kZipf),
+               {0x1.869dd89103d18p+3, 2238, 0x1d20f5bd});
+}
+
+TEST(SimRunnerGoldenTest, AverageOversubscribedTenGigE) {
+  ExpectGolden(OversubscribedTenGigE(),
+               GoldenJob(DistributionPattern::kAverage),
+               {0x1.74832422db328p+3, 1706, 0x0d21cb62});
+}
+
+TEST(SimRunnerGoldenTest, RandomOversubscribedTenGigE) {
+  ExpectGolden(OversubscribedTenGigE(),
+               GoldenJob(DistributionPattern::kRandom),
+               {0x1.7497106a865bap+3, 2214, 0x30104d6c});
+}
+
+TEST(SimRunnerGoldenTest, SkewOversubscribedTenGigE) {
+  ExpectGolden(OversubscribedTenGigE(),
+               GoldenJob(DistributionPattern::kSkewed),
+               {0x1.d371cd0bd9498p+3, 2274, 0xaa8f29af});
+}
+
+TEST(SimRunnerGoldenTest, ZipfOversubscribedTenGigE) {
+  ExpectGolden(OversubscribedTenGigE(), GoldenJob(DistributionPattern::kZipf),
+               {0x1.81747636be023p+3, 2237, 0x962bbde3});
+}
+
+TEST(SimRunnerGoldenTest, YarnRandomOneGigE) {
+  JobConf conf = GoldenJob(DistributionPattern::kRandom);
+  conf.scheduler = SchedulerKind::kYarn;
+  ExpectGolden(ClusterA(OneGigE(), 4), conf,
+               {0x1.05ce18182d51p+4, 2177, 0x8a603b87});
+}
+
+TEST(SimRunnerGoldenTest, DfsInputAndOutputTenGigE) {
+  JobConf conf = GoldenJob(DistributionPattern::kAverage);
+  conf.read_input_from_dfs = true;
+  conf.write_output_to_dfs = true;
+  ExpectGolden(ClusterA(TenGigE(), 4), conf,
+               {0x1.30d8f9920df04p+4, 2273, 0x5087847b});
+}
+
+TEST(SimRunnerGoldenTest, CrashDegradedLinkAndFetchFailures) {
+  JobConf conf = GoldenJob(DistributionPattern::kRandom);
+  auto plan = FaultPlan::Parse(
+      "kill_node:1@t=9s;recover_node:1@t=13s;"
+      "degrade_link:2@t=4s,x0.25;fetch_fail_prob:0.05");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  conf.fault_plan = *plan;
+  ExpectGolden(ClusterA(OneGigE(), 4), conf,
+               {0x1.41ece8182cc79p+4, 2588, 0xa12941af});
 }
 
 }  // namespace
