@@ -365,26 +365,79 @@ void BM_PlanPartitionCounts(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanPartitionCounts)->Arg(100000)->Arg(1000000);
 
+// The skew benchmark workload's paper-scale plan: 128 MR-SKEW maps of
+// 3.73 M records each over 64 reduces (59.7 M tail draws), planned for the
+// whole job at once with 1 thread and with the automatic thread count.
+void BM_PlanJobPartitionCountsSkew(benchmark::State& state) {
+  constexpr int kMaps = 128;
+  constexpr int64_t kRecordsPerMap = 3730000;
+  std::vector<uint64_t> seeds;
+  for (int m = 0; m < kMaps; ++m) seeds.push_back(1 + 7919ULL * m);
+  const auto threads = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        PlanJobPartitionCounts(DistributionPattern::kSkewed, seeds,
+                               kRecordsPerMap, 64, 1.0, threads)
+            .data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kMaps *
+                          (kRecordsPerMap / 8));
+}
+BENCHMARK(BM_PlanJobPartitionCountsSkew)
+    ->Arg(1)
+    ->Arg(0)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 void BM_MaxMinFairSolver(benchmark::State& state) {
-  // Shuffle-shaped problem: n nodes, all-to-all flows.
+  // Shuffle-shaped problem: n nodes, all-to-all flows, one per pair.
   const int nodes = static_cast<int>(state.range(0));
   MaxMinProblem problem;
   problem.link_capacity.assign(static_cast<size_t>(2 * nodes), 1e9);
   for (int s = 0; s < nodes; ++s) {
     for (int d = 0; d < nodes; ++d) {
       if (s == d) continue;
-      problem.flow_links.push_back(
-          {s, static_cast<int32_t>(nodes + d)});
+      problem.AddClass({s, static_cast<int32_t>(nodes + d)});
     }
   }
+  MaxMinSolver solver;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SolveMaxMinFair(problem));
+    benchmark::DoNotOptimize(solver.Solve(problem).data());
   }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(problem.flow_links.size()));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(problem.num_classes()));
 }
 BENCHMARK(BM_MaxMinFairSolver)->Arg(4)->Arg(8)->Arg(16);
+
+// What Fabric hands the solver on every membership change: `flows` active
+// transfers spread over the pairs of an 8-node cluster with a backplane
+// (as under oversubscription), grouped into one class per (src, dst) pair
+// with its flow count, on reused scratch.
+void BM_MaxMinFairSolverFabric(benchmark::State& state) {
+  constexpr int kNodes = 8;
+  const auto flows = static_cast<int>(state.range(0));
+  Rng rng(5);
+  std::vector<int64_t> per_pair(kNodes * kNodes, 0);
+  for (int f = 0; f < flows; ++f) {
+    const auto src = static_cast<int>(rng.Uniform(kNodes));
+    const auto dst = static_cast<int>(rng.Uniform(kNodes - 1));
+    ++per_pair[static_cast<size_t>(src * kNodes + dst + (dst >= src))];
+  }
+  MaxMinProblem problem;
+  problem.link_capacity.assign(2 * kNodes, 1.25e8);
+  problem.link_capacity.push_back(0.5 * kNodes * 1.25e8);
+  for (int pair = 0; pair < kNodes * kNodes; ++pair) {
+    if (per_pair[static_cast<size_t>(pair)] == 0) continue;
+    problem.AddClass({pair / kNodes, kNodes + pair % kNodes, 2 * kNodes},
+                     kUnlimitedRate, per_pair[static_cast<size_t>(pair)]);
+  }
+  MaxMinSolver solver;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(solver.Solve(problem).data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * flows);
+}
+BENCHMARK(BM_MaxMinFairSolverFabric)->Arg(64)->Arg(512);
 
 // ---- Shuffle data plane: CRC32C kernels -------------------------------
 // Three implementations of the same Castagnoli CRC: the byte-at-a-time

@@ -12,12 +12,19 @@ SimCluster::SimCluster(ClusterSpec spec) : spec_(std::move(spec)) {
   MRMB_CHECK_GT(spec_.node.cores, 0);
   MRMB_CHECK_GT(spec_.node.core_speed, 0.0);
   MRMB_CHECK_GT(spec_.node.disk_bandwidth_Bps, 0.0);
+  cpu_solver_ = PerNodeSolver(
+      spec_.num_slaves,
+      static_cast<double>(spec_.node.cores) * spec_.node.core_speed,
+      spec_.node.core_speed);
+  disk_solver_ = PerNodeSolver(spec_.num_slaves,
+                               spec_.node.disk_bandwidth_Bps, kUnlimitedRate);
   fabric_ = std::make_unique<Fabric>(&sim_, spec_.num_slaves, spec_.network,
                                      spec_.oversubscription);
   cpu_pool_ = std::make_unique<FluidPool>(
-      &sim_, [this](std::vector<FluidFlow*>* flows) { SolveCpu(flows); });
+      &sim_, [this](std::span<FluidFlow> flows) { cpu_solver_.Solve(flows); });
   disk_pool_ = std::make_unique<FluidPool>(
-      &sim_, [this](std::vector<FluidFlow*>* flows) { SolveDisk(flows); });
+      &sim_,
+      [this](std::span<FluidFlow> flows) { disk_solver_.Solve(flows); });
 }
 
 void SimCluster::RunCpu(int node, double cpu_seconds, DoneFn done) {
@@ -49,33 +56,32 @@ double SimCluster::DiskBytes(int node) {
   return disk_pool_->DeliveredTo(node);
 }
 
-void SimCluster::SolveCpu(std::vector<FluidFlow*>* flows) {
-  // One link per node with capacity = cores * core_speed (in reference-core
-  // units per second); each work item is capped at one core.
-  MaxMinProblem problem;
-  problem.link_capacity.assign(
-      static_cast<size_t>(spec_.num_slaves),
-      static_cast<double>(spec_.node.cores) * spec_.node.core_speed);
-  problem.flow_links.reserve(flows->size());
-  problem.rate_limit.reserve(flows->size());
-  for (FluidFlow* flow : *flows) {
-    problem.flow_links.push_back({static_cast<int32_t>(flow->tag_src)});
-    problem.rate_limit.push_back(spec_.node.core_speed);
-  }
-  const std::vector<double> rates = SolveMaxMinFair(problem);
-  for (size_t i = 0; i < flows->size(); ++i) (*flows)[i]->rate = rates[i];
+SimCluster::PerNodeSolver::PerNodeSolver(int num_nodes, double node_capacity,
+                                         double item_cap)
+    : item_cap_(item_cap) {
+  problem_.link_capacity.assign(static_cast<size_t>(num_nodes),
+                                node_capacity);
+  node_class_.assign(static_cast<size_t>(num_nodes), -1);
 }
 
-void SimCluster::SolveDisk(std::vector<FluidFlow*>* flows) {
-  MaxMinProblem problem;
-  problem.link_capacity.assign(static_cast<size_t>(spec_.num_slaves),
-                               spec_.node.disk_bandwidth_Bps);
-  problem.flow_links.reserve(flows->size());
-  for (FluidFlow* flow : *flows) {
-    problem.flow_links.push_back({static_cast<int32_t>(flow->tag_src)});
+void SimCluster::PerNodeSolver::Solve(std::span<FluidFlow> flows) {
+  problem_.ClearClasses();
+  for (const FluidFlow& flow : flows) {
+    int32_t& cls = node_class_[static_cast<size_t>(flow.tag_src)];
+    if (cls < 0) {
+      cls = problem_.AddClass({static_cast<int32_t>(flow.tag_src)}, item_cap_,
+                              0);
+    }
+    ++problem_.multiplicity[static_cast<size_t>(cls)];
   }
-  const std::vector<double> rates = SolveMaxMinFair(problem);
-  for (size_t i = 0; i < flows->size(); ++i) (*flows)[i]->rate = rates[i];
+  const std::vector<double>& rates = solver_.Solve(problem_);
+  for (FluidFlow& flow : flows) {
+    const auto node = static_cast<size_t>(flow.tag_src);
+    flow.rate = rates[static_cast<size_t>(node_class_[node])];
+  }
+  for (const FluidFlow& flow : flows) {
+    node_class_[static_cast<size_t>(flow.tag_src)] = -1;
+  }
 }
 
 }  // namespace mrmb

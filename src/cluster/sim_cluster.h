@@ -15,12 +15,15 @@
 #ifndef MRMB_CLUSTER_SIM_CLUSTER_H_
 #define MRMB_CLUSTER_SIM_CLUSTER_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cluster/cluster_spec.h"
 #include "net/fabric.h"
+#include "sim/fairshare.h"
 #include "sim/fluid.h"
 #include "sim/simulator.h"
 
@@ -74,12 +77,29 @@ class SimCluster {
   double TxBytes(int node) { return fabric_->TxBytes(node); }
 
  private:
-  void SolveCpu(std::vector<FluidFlow*>* flows);
-  void SolveDisk(std::vector<FluidFlow*>* flows);
+  // Max-min sharing of one per-node resource (cores or disks): node n is
+  // link n, and every work item on a node is capped at the same rate, so
+  // each node's items form one flow class.
+  class PerNodeSolver {
+   public:
+    PerNodeSolver() = default;
+    PerNodeSolver(int num_nodes, double node_capacity, double item_cap);
+    void Solve(std::span<FluidFlow> flows);
+
+   private:
+    double item_cap_ = kUnlimitedRate;
+    MaxMinProblem problem_;
+    MaxMinSolver solver_;
+    std::vector<int32_t> node_class_;  // node -> class, or -1
+  };
 
   ClusterSpec spec_;
   Simulator sim_;
   std::unique_ptr<Fabric> fabric_;
+  // CPU: capacity cores * core_speed reference-core units per second, each
+  // item capped at one core. Disk: shared bandwidth, no per-item cap.
+  PerNodeSolver cpu_solver_;
+  PerNodeSolver disk_solver_;
   std::unique_ptr<FluidPool> cpu_pool_;   // units: reference-core seconds
   std::unique_ptr<FluidPool> disk_pool_;  // units: bytes
 };

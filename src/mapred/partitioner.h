@@ -12,9 +12,12 @@
 //             skewed shape is fixed for every run.
 //
 // PlanPartitionCounts() computes the exact per-reduce record counts a
-// partitioner produces for a map task *without* iterating records, which is
-// what lets the cluster simulation scale to paper-size shuffles. Its
-// agreement with the per-record implementations is covered by tests.
+// partitioner produces for a map task *without* running the per-record
+// Partition() calls (MR-AVG in closed form, the random patterns by drawing
+// the same stream), which is what lets the cluster simulation scale to
+// paper-size shuffles; PlanJobPartitionCounts() plans all maps of a job at
+// once, in parallel. Agreement with the per-record implementations is
+// covered by tests.
 
 #ifndef MRMB_MAPRED_PARTITIONER_H_
 #define MRMB_MAPRED_PARTITIONER_H_
@@ -77,11 +80,9 @@ class ZipfPartitioner final : public Partitioner {
                 int num_partitions) override;
 
  private:
-  // (Re)builds the CDF when the partition count changes.
-  void BuildCdf(int num_partitions);
-
   Rng rng_;
   double exponent_;
+  // CDF over cdf_partitions_ reducers, rebuilt when the count changes.
   int cdf_partitions_ = 0;
   std::vector<double> cdf_;
 };
@@ -149,6 +150,17 @@ std::vector<int64_t> PlanPartitionCounts(DistributionPattern pattern,
                                          uint64_t seed, int64_t records,
                                          int num_reduces,
                                          double zipf_exponent = 1.0);
+
+// Plans a whole job: row m of the result (num_reduces counts; rows are
+// concatenated) equals PlanPartitionCounts(pattern, seeds[m], ...). Maps
+// are planned on up to `max_threads` threads (0 = one per hardware thread)
+// when the job needs enough random draws to repay them, and serially
+// otherwise. Each map keeps its own stream and row, so the result never
+// depends on the thread count.
+std::vector<int64_t> PlanJobPartitionCounts(
+    DistributionPattern pattern, const std::vector<uint64_t>& seeds,
+    int64_t records_per_map, int num_reduces, double zipf_exponent = 1.0,
+    int max_threads = 0);
 
 }  // namespace mrmb
 

@@ -119,6 +119,14 @@ Result<SimJobResult> SimJobRunner::Run() {
   // Combiner model: only this fraction of records survives per-spill
   // combining; shuffle volumes shrink accordingly.
   const double combine = conf_.combiner_output_fraction;
+  std::vector<uint64_t> map_seeds(static_cast<size_t>(conf_.num_maps));
+  for (int m = 0; m < conf_.num_maps; ++m) {
+    map_seeds[static_cast<size_t>(m)] =
+        conf_.seed + static_cast<uint64_t>(m) * kTaskSeedStride;
+  }
+  const std::vector<int64_t> job_counts = PlanJobPartitionCounts(
+      conf_.pattern, map_seeds, conf_.records_per_map, conf_.num_reduces,
+      conf_.zipf_exponent);
 
   for (int m = 0; m < conf_.num_maps; ++m) {
     MapTask& map = maps_[static_cast<size_t>(m)];
@@ -128,13 +136,12 @@ Result<SimJobResult> SimJobRunner::Run() {
     map.num_spills = static_cast<int>(
         (map.records + records_per_spill - 1) / records_per_spill);
     if (map.num_spills == 0) map.num_spills = 1;
-    const std::vector<int64_t> counts = PlanPartitionCounts(
-        conf_.pattern, conf_.seed + static_cast<uint64_t>(m) * kTaskSeedStride,
-        map.records, conf_.num_reduces, conf_.zipf_exponent);
+    const int64_t* counts =
+        job_counts.data() + static_cast<size_t>(m) * reduces_.size();
     map.bytes_for_reduce.resize(static_cast<size_t>(conf_.num_reduces));
     for (int r = 0; r < conf_.num_reduces; ++r) {
       const int64_t combined_records = static_cast<int64_t>(
-          combine * static_cast<double>(counts[static_cast<size_t>(r)]));
+          combine * static_cast<double>(counts[r]));
       const int64_t bytes = combined_records * framed_record_bytes_;
       map.bytes_for_reduce[static_cast<size_t>(r)] = bytes;
       reduces_[static_cast<size_t>(r)].input_bytes += bytes;

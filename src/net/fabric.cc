@@ -24,8 +24,14 @@ Fabric::Fabric(Simulator* sim, int num_nodes, NetworkProfile profile,
                             : oversubscription * num_nodes_ *
                                   profile_.app_bandwidth_Bps();
   link_factor_.assign(static_cast<size_t>(num_nodes_), 1.0);
+  const double nic = profile_.app_bandwidth_Bps();
+  problem_.link_capacity.assign(static_cast<size_t>(2 * num_nodes_), nic);
+  if (backplane_capacity_ > 0) {
+    problem_.link_capacity.push_back(backplane_capacity_);
+  }
+  pair_class_.assign(static_cast<size_t>(num_nodes_) * num_nodes_, -1);
   pool_ = std::make_unique<FluidPool>(
-      sim_, [this](std::vector<FluidFlow*>* flows) { Solve(flows); });
+      sim_, [this](std::span<FluidFlow> flows) { Solve(flows); });
 }
 
 void Fabric::Transfer(int src, int dst, int64_t bytes,
@@ -65,37 +71,38 @@ void Fabric::SetLinkFactor(int node, double factor) {
   MRMB_CHECK_GE(node, 0);
   MRMB_CHECK_LT(node, num_nodes_);
   MRMB_CHECK_GT(factor, 0.0);
-  link_factor_[static_cast<size_t>(node)] = factor;
+  const auto n = static_cast<size_t>(node);
+  link_factor_[n] = factor;
+  const double capacity = profile_.app_bandwidth_Bps() * factor;
+  problem_.link_capacity[n] = capacity;
+  problem_.link_capacity[static_cast<size_t>(num_nodes_) + n] = capacity;
   pool_->Poke();
 }
 
-void Fabric::Solve(std::vector<FluidFlow*>* flows) {
-  // Link layout: [0, n) egress per node, [n, 2n) ingress per node,
-  // optionally 2n = switch backplane.
-  const double nic = profile_.app_bandwidth_Bps();
-  MaxMinProblem problem;
+void Fabric::Solve(std::span<FluidFlow> flows) {
   const bool has_backplane = backplane_capacity_ > 0;
-  problem.link_capacity.assign(
-      static_cast<size_t>(2 * num_nodes_) + (has_backplane ? 1 : 0), nic);
-  for (int n = 0; n < num_nodes_; ++n) {
-    const double capacity = nic * link_factor_[static_cast<size_t>(n)];
-    problem.link_capacity[static_cast<size_t>(n)] = capacity;
-    problem.link_capacity[static_cast<size_t>(num_nodes_ + n)] = capacity;
+  const auto backplane = static_cast<int32_t>(2 * num_nodes_);
+  problem_.ClearClasses();
+  flow_class_.resize(flows.size());
+  for (size_t i = 0; i < flows.size(); ++i) {
+    const FluidFlow& flow = flows[i];
+    int32_t& cls = pair_class_[static_cast<size_t>(
+        flow.tag_src * num_nodes_ + flow.tag_dst)];
+    if (cls < 0) {
+      const auto src = static_cast<int32_t>(flow.tag_src);
+      const auto dst = static_cast<int32_t>(num_nodes_ + flow.tag_dst);
+      cls = has_backplane
+                ? problem_.AddClass({src, dst, backplane}, kUnlimitedRate, 0)
+                : problem_.AddClass({src, dst}, kUnlimitedRate, 0);
+    }
+    ++problem_.multiplicity[static_cast<size_t>(cls)];
+    flow_class_[i] = cls;
   }
-  if (has_backplane) {
-    problem.link_capacity.back() = backplane_capacity_;
-  }
-  problem.flow_links.reserve(flows->size());
-  for (FluidFlow* flow : *flows) {
-    std::vector<int32_t> links = {
-        static_cast<int32_t>(flow->tag_src),
-        static_cast<int32_t>(num_nodes_ + flow->tag_dst)};
-    if (has_backplane) links.push_back(2 * num_nodes_);
-    problem.flow_links.push_back(std::move(links));
-  }
-  const std::vector<double> rates = SolveMaxMinFair(problem);
-  for (size_t i = 0; i < flows->size(); ++i) {
-    (*flows)[i]->rate = rates[i];
+  const std::vector<double>& rates = solver_.Solve(problem_);
+  for (size_t i = 0; i < flows.size(); ++i) {
+    flows[i].rate = rates[static_cast<size_t>(flow_class_[i])];
+    pair_class_[static_cast<size_t>(flows[i].tag_src * num_nodes_ +
+                                    flows[i].tag_dst)] = -1;
   }
 }
 

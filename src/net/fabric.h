@@ -18,9 +18,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "net/network_profile.h"
+#include "sim/fairshare.h"
 #include "sim/fluid.h"
 #include "sim/simulator.h"
 
@@ -62,13 +64,21 @@ class Fabric {
   size_t active_transfers() const { return pool_->active_flows(); }
 
  private:
-  void Solve(std::vector<FluidFlow*>* flows);
+  // Rates all transfers between the same (src, dst) pair as one flow class.
+  void Solve(std::span<FluidFlow> flows);
 
   Simulator* sim_;
   int num_nodes_;
   NetworkProfile profile_;
   double backplane_capacity_;  // bytes/sec; <= 0 disables the constraint.
   std::vector<double> link_factor_;  // per-node NIC capacity multiplier
+  // Links: [0, n) egress per node, [n, 2n) ingress per node, optionally 2n
+  // = switch backplane. Capacities follow link_factor_; classes are rebuilt
+  // by every Solve().
+  MaxMinProblem problem_;
+  MaxMinSolver solver_;
+  std::vector<int32_t> pair_class_;  // src * n + dst -> class, or -1
+  std::vector<int32_t> flow_class_;  // per flow of the current Solve()
   std::unique_ptr<FluidPool> pool_;
 };
 

@@ -771,6 +771,13 @@ int ShuffleTransportClient::AcquireConnection() {
   cv_.wait(lock, [&] {
     return !idle_fds_.empty() || open_streams_ < options_.parallel_streams;
   });
+  if (broken_streams_ > 0) {
+    // The next fetch after a connection died mid-fetch (in practice the
+    // retry of the fetch that broke) resumes on this connection, whether
+    // it is a pooled one or a fresh connect.
+    --broken_streams_;
+    ++stats_.reconnects;
+  }
   if (!idle_fds_.empty()) {
     const int fd = idle_fds_.back();
     idle_fds_.pop_back();
@@ -778,11 +785,6 @@ int ShuffleTransportClient::AcquireConnection() {
   }
   ++open_streams_;
   ++stats_.connections;
-  if (broken_streams_ > 0) {
-    // This connect replaces one that died mid-fetch.
-    --broken_streams_;
-    ++stats_.reconnects;
-  }
   lock.unlock();
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);

@@ -186,7 +186,7 @@ struct ShuffleClientStats {
   int64_t batches = 0;      // batch request messages sent
   int64_t wire_bytes = 0;   // response header + body bytes received
   int64_t retransmits = 0;  // entries re-requested after a transport failure
-  int64_t reconnects = 0;   // connections (re)established after the first
+  int64_t reconnects = 0;   // fetches resumed after a connection broke
   int64_t connections = 0;
   int64_t pool_hits = 0;    // body buffers served from the reuse pool
   int64_t pool_misses = 0;  // body buffers freshly allocated
@@ -293,7 +293,7 @@ class ShuffleTransportClient {
   std::condition_variable cv_;
   std::vector<int> idle_fds_;
   int open_streams_ = 0;
-  int broken_streams_ = 0;  // connections torn down mid-fetch, not yet replaced
+  int broken_streams_ = 0;  // connections torn down mid-fetch, not yet resumed
   int64_t inflight_bytes_ = 0;
   std::unordered_map<int, std::int64_t> fetch_seq_;  // per-map counter
   std::vector<double> latencies_ms_;

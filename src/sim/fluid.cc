@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <utility>
 
 namespace mrmb {
@@ -39,32 +40,49 @@ FlowId FluidPool::Start(double work, int64_t tag_src, int64_t tag_dst,
     });
     return 0;
   }
+  MRMB_CHECK_GE(tag_src, 0);
+  MRMB_CHECK_GE(tag_dst, 0);
   AdvanceToNow();
+  const size_t tags = static_cast<size_t>(std::max(tag_src, tag_dst)) + 1;
+  if (tags > delivered_to_.size()) {
+    delivered_to_.resize(tags, 0.0);
+    served_from_.resize(tags, 0.0);
+  }
   const FlowId id = next_flow_id_++;
-  auto rec = std::make_unique<FlowRec>();
-  rec->flow.id = id;
-  rec->flow.remaining = work;
-  rec->flow.tag_src = tag_src;
-  rec->flow.tag_dst = tag_dst;
-  rec->on_complete = std::move(on_complete);
-  flows_.emplace(id, std::move(rec));
+  FluidFlow flow;
+  flow.id = id;
+  flow.remaining = work;
+  flow.tag_src = tag_src;
+  flow.tag_dst = tag_dst;
+  flows_.push_back(flow);
+  on_complete_.push_back(std::move(on_complete));
   RecomputeAndSchedule();
   return id;
 }
 
+std::ptrdiff_t FluidPool::Find(FlowId id) const {
+  // Ids are handed out in increasing order and flows_ keeps start order.
+  const auto it = std::lower_bound(
+      flows_.begin(), flows_.end(), id,
+      [](const FluidFlow& flow, FlowId key) { return flow.id < key; });
+  if (it == flows_.end() || it->id != id) return -1;
+  return it - flows_.begin();
+}
+
 bool FluidPool::Cancel(FlowId id) {
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return false;
+  const std::ptrdiff_t index = Find(id);
+  if (index < 0) return false;
   AdvanceToNow();
-  flows_.erase(it);
+  flows_.erase(flows_.begin() + index);
+  on_complete_.erase(on_complete_.begin() + index);
   RecomputeAndSchedule();
   return true;
 }
 
 double FluidPool::Remaining(FlowId id) {
   AdvanceToNow();
-  auto it = flows_.find(id);
-  return it == flows_.end() ? 0.0 : it->second->flow.remaining;
+  const std::ptrdiff_t index = Find(id);
+  return index < 0 ? 0.0 : flows_[static_cast<size_t>(index)].remaining;
 }
 
 void FluidPool::Poke() {
@@ -74,14 +92,16 @@ void FluidPool::Poke() {
 
 double FluidPool::DeliveredTo(int64_t tag) {
   AdvanceToNow();
-  auto it = delivered_to_.find(tag);
-  return it == delivered_to_.end() ? 0.0 : it->second;
+  return tag >= 0 && static_cast<size_t>(tag) < delivered_to_.size()
+             ? delivered_to_[static_cast<size_t>(tag)]
+             : 0.0;
 }
 
 double FluidPool::ServedFrom(int64_t tag) {
   AdvanceToNow();
-  auto it = served_from_.find(tag);
-  return it == served_from_.end() ? 0.0 : it->second;
+  return tag >= 0 && static_cast<size_t>(tag) < served_from_.size()
+             ? served_from_[static_cast<size_t>(tag)]
+             : 0.0;
 }
 
 double FluidPool::TotalDelivered() {
@@ -94,13 +114,12 @@ void FluidPool::AdvanceToNow() {
   if (now == last_update_) return;
   MRMB_CHECK_GT(now, last_update_);
   const double dt = ToSeconds(now - last_update_);
-  for (auto& [id, rec] : flows_) {
-    FluidFlow& flow = rec->flow;
+  for (FluidFlow& flow : flows_) {
     if (flow.rate <= 0) continue;
     const double delta = std::min(flow.remaining, flow.rate * dt);
     flow.remaining -= delta;
-    delivered_to_[flow.tag_dst] += delta;
-    served_from_[flow.tag_src] += delta;
+    delivered_to_[static_cast<size_t>(flow.tag_dst)] += delta;
+    served_from_[static_cast<size_t>(flow.tag_src)] += delta;
     total_delivered_ += delta;
   }
   last_update_ = now;
@@ -113,20 +132,17 @@ void FluidPool::RecomputeAndSchedule() {
   }
   if (flows_.empty()) return;
 
-  std::vector<FluidFlow*> view;
-  view.reserve(flows_.size());
-  for (auto& [id, rec] : flows_) view.push_back(&rec->flow);
-  solver_(&view);
+  solver_(std::span<FluidFlow>(flows_));
 
   // Earliest completion among flows that are being served (or already done).
   SimTime earliest = -1;
-  for (const FluidFlow* flow : view) {
-    MRMB_CHECK_GE(flow->rate, 0.0) << "solver produced negative rate";
+  for (const FluidFlow& flow : flows_) {
+    MRMB_CHECK_GE(flow.rate, 0.0) << "solver produced negative rate";
     SimTime finish;
-    if (IsComplete(*flow)) {
+    if (IsComplete(flow)) {
       finish = 0;
-    } else if (flow->rate > 0) {
-      const double seconds = flow->remaining / flow->rate;
+    } else if (flow.rate > 0) {
+      const double seconds = flow.remaining / flow.rate;
       finish = std::max<SimTime>(
           1, static_cast<SimTime>(
                  std::ceil(seconds * static_cast<double>(kSecond))));
@@ -144,21 +160,26 @@ void FluidPool::OnCompletionEvent() {
   pending_event_ = 0;
   AdvanceToNow();
 
-  // Collect every flow that drained (rounding can complete several at once).
-  std::vector<std::unique_ptr<FlowRec>> done;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    if (IsComplete(it->second->flow)) {
-      done.push_back(std::move(it->second));
-      it = flows_.erase(it);
-    } else {
-      ++it;
+  // Collect every flow that drained (rounding can complete several at once)
+  // and compact the rest in place, keeping FlowId order.
+  std::vector<CompletionFn> done;
+  size_t kept = 0;
+  for (size_t i = 0; i < flows_.size(); ++i) {
+    if (IsComplete(flows_[i])) {
+      done.push_back(std::move(on_complete_[i]));
+      continue;
     }
+    if (kept != i) {
+      flows_[kept] = flows_[i];
+      on_complete_[kept] = std::move(on_complete_[i]);
+    }
+    ++kept;
   }
+  flows_.resize(kept);
+  on_complete_.resize(kept);
   RecomputeAndSchedule();
   const SimTime now = sim_->Now();
-  for (auto& rec : done) {
-    rec->on_complete(now);
-  }
+  for (CompletionFn& on_complete : done) on_complete(now);
 }
 
 }  // namespace mrmb

@@ -10,14 +10,16 @@
 //
 // The pool also keeps cumulative per-tag "work delivered" counters so that
 // resource monitors can sample throughput/utilization by differencing.
+// Flows are stored flat in FlowId (= start) order, which is also the order
+// the solver sees them in; tags index flat per-node counters.
 
 #ifndef MRMB_SIM_FLUID_H_
 #define MRMB_SIM_FLUID_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -34,18 +36,19 @@ struct FluidFlow {
   // Service rate in units/second; assigned by the solver. Zero is legal
   // (flow is stalled until membership changes).
   double rate = 0;
-  // Opaque user tags, conventionally source/destination node ids. The
+  // User tags (>= 0), conventionally source/destination node ids. The
   // solver uses them to build capacity constraints; the accounting uses them
   // to attribute delivered work.
-  int64_t tag_src = -1;
-  int64_t tag_dst = -1;
+  int64_t tag_src = 0;
+  int64_t tag_dst = 0;
 };
 
 class FluidPool {
  public:
-  // The solver assigns `rate` to every flow in `flows`. Called under a
-  // consistent snapshot (all `remaining` values already advanced to Now()).
-  using RateSolver = std::function<void(std::vector<FluidFlow*>* flows)>;
+  // The solver assigns `rate` to every flow in `flows` (in FlowId order).
+  // Called under a consistent snapshot (all `remaining` values already
+  // advanced to Now()).
+  using RateSolver = std::function<void(std::span<FluidFlow> flows)>;
   // Completion callback; receives the simulation time of completion.
   using CompletionFn = std::function<void(SimTime)>;
 
@@ -55,8 +58,9 @@ class FluidPool {
   FluidPool(const FluidPool&) = delete;
   FluidPool& operator=(const FluidPool&) = delete;
 
-  // Starts a flow with `work` units (> 0). `on_complete` fires from the
-  // event loop when the work drains. Returns a handle usable with Cancel().
+  // Starts a flow with `work` units (> 0) and tags >= 0. `on_complete`
+  // fires from the event loop when the work drains. Returns a handle usable
+  // with Cancel().
   FlowId Start(double work, int64_t tag_src, int64_t tag_dst,
                CompletionFn on_complete);
 
@@ -85,27 +89,26 @@ class FluidPool {
   double TotalDelivered();
 
  private:
-  struct FlowRec {
-    FluidFlow flow;
-    CompletionFn on_complete;
-  };
-
   // Integrates rates from last_update_ to Now() into remaining/accounting.
   void AdvanceToNow();
   // Runs the solver and schedules the next completion event.
   void RecomputeAndSchedule();
   // Fires completions that are due at Now().
   void OnCompletionEvent();
+  // Index of flow `id` in flows_, or -1.
+  std::ptrdiff_t Find(FlowId id) const;
 
   Simulator* sim_;
   RateSolver solver_;
   SimTime last_update_ = 0;
   EventId pending_event_ = 0;
   FlowId next_flow_id_ = 1;
-  // Ordered map gives deterministic solver input order.
-  std::map<FlowId, std::unique_ptr<FlowRec>> flows_;
-  std::map<int64_t, double> delivered_to_;
-  std::map<int64_t, double> served_from_;
+  // Active flows in FlowId order, and each one's completion callback.
+  std::vector<FluidFlow> flows_;
+  std::vector<CompletionFn> on_complete_;
+  // Cumulative work per tag, indexed by tag.
+  std::vector<double> delivered_to_;
+  std::vector<double> served_from_;
   double total_delivered_ = 0;
 };
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -12,18 +13,36 @@ namespace {
 
 constexpr double kTol = 1e-6;
 
-// Checks the three max-min invariants documented in fairshare.h.
+// Appends a class crossing a run-time list of links.
+void AddClass(MaxMinProblem* problem, const std::vector<int32_t>& links,
+              double rate_cap = kUnlimitedRate, int64_t count = 1) {
+  problem->link_index.insert(problem->link_index.end(), links.begin(),
+                             links.end());
+  problem->link_begin.push_back(
+      static_cast<int32_t>(problem->link_index.size()));
+  problem->rate_limit.push_back(rate_cap);
+  problem->multiplicity.push_back(count);
+}
+
+std::vector<int32_t> LinksOf(const MaxMinProblem& problem, size_t c) {
+  return {problem.link_index.begin() + problem.link_begin[c],
+          problem.link_index.begin() + problem.link_begin[c + 1]};
+}
+
+// Checks the three max-min invariants documented in fairshare.h, counting
+// every flow of a class.
 void CheckInvariants(const MaxMinProblem& problem,
                      const std::vector<double>& rate) {
   const size_t num_links = problem.link_capacity.size();
+  const size_t num_classes = problem.num_classes();
+  ASSERT_EQ(rate.size(), num_classes);
   std::vector<double> link_load(num_links, 0.0);
-  for (size_t f = 0; f < problem.flow_links.size(); ++f) {
-    for (int32_t link : problem.flow_links[f]) {
-      link_load[static_cast<size_t>(link)] += rate[f];
+  for (size_t f = 0; f < num_classes; ++f) {
+    for (int32_t link : LinksOf(problem, f)) {
+      link_load[static_cast<size_t>(link)] +=
+          rate[f] * static_cast<double>(problem.multiplicity[f]);
     }
-    if (!problem.rate_limit.empty()) {
-      EXPECT_LE(rate[f], problem.rate_limit[f] + kTol);
-    }
+    EXPECT_LE(rate[f], problem.rate_limit[f] + kTol);
     EXPECT_GE(rate[f], 0.0);
   }
   for (size_t l = 0; l < num_links; ++l) {
@@ -32,20 +51,18 @@ void CheckInvariants(const MaxMinProblem& problem,
   }
   // Max-min: a flow below its cap must cross a saturated link on which it
   // has one of the largest rates.
-  for (size_t f = 0; f < problem.flow_links.size(); ++f) {
-    const double cap = problem.rate_limit.empty() ? kUnlimitedRate
-                                                  : problem.rate_limit[f];
-    if (rate[f] >= cap - kTol) continue;
+  for (size_t f = 0; f < num_classes; ++f) {
+    if (rate[f] >= problem.rate_limit[f] - kTol) continue;
     bool justified = false;
-    for (int32_t link : problem.flow_links[f]) {
+    for (int32_t link : LinksOf(problem, f)) {
       const auto l = static_cast<size_t>(link);
       if (link_load[l] >= problem.link_capacity[l] - kTol) {
         // Saturated link: check no co-flow has a strictly smaller rate that
         // could be raised (i.e., this flow's rate is maximal or tied).
         bool is_max = true;
-        for (size_t other = 0; other < problem.flow_links.size(); ++other) {
+        for (size_t other = 0; other < num_classes; ++other) {
           if (other == f) continue;
-          for (int32_t other_link : problem.flow_links[other]) {
+          for (int32_t other_link : LinksOf(problem, other)) {
             if (other_link == link && rate[other] > rate[f] + kTol) {
               // Another flow got more through the same bottleneck — only
               // legal if our flow is capped elsewhere, which we already
@@ -76,7 +93,7 @@ TEST(FairshareTest, EmptyProblem) {
 TEST(FairshareTest, SingleFlowGetsFullLink) {
   MaxMinProblem problem;
   problem.link_capacity = {100.0};
-  problem.flow_links = {{0}};
+  problem.AddClass({0});
   const auto rate = SolveMaxMinFair(problem);
   EXPECT_NEAR(rate[0], 100.0, kTol);
 }
@@ -84,7 +101,8 @@ TEST(FairshareTest, SingleFlowGetsFullLink) {
 TEST(FairshareTest, TwoFlowsShareEqually) {
   MaxMinProblem problem;
   problem.link_capacity = {100.0};
-  problem.flow_links = {{0}, {0}};
+  problem.AddClass({0});
+  problem.AddClass({0});
   const auto rate = SolveMaxMinFair(problem);
   EXPECT_NEAR(rate[0], 50.0, kTol);
   EXPECT_NEAR(rate[1], 50.0, kTol);
@@ -93,8 +111,8 @@ TEST(FairshareTest, TwoFlowsShareEqually) {
 TEST(FairshareTest, CapLimitsFlowAndReleasesShare) {
   MaxMinProblem problem;
   problem.link_capacity = {100.0};
-  problem.flow_links = {{0}, {0}};
-  problem.rate_limit = {20.0, kUnlimitedRate};
+  problem.AddClass({0}, 20.0);
+  problem.AddClass({0});
   const auto rate = SolveMaxMinFair(problem);
   EXPECT_NEAR(rate[0], 20.0, kTol);
   EXPECT_NEAR(rate[1], 80.0, kTol);  // the freed share goes to flow 1
@@ -104,7 +122,9 @@ TEST(FairshareTest, ClassicParkingLot) {
   // Flow 0 crosses both links; flows 1 and 2 cross one each.
   MaxMinProblem problem;
   problem.link_capacity = {10.0, 10.0};
-  problem.flow_links = {{0, 1}, {0}, {1}};
+  problem.AddClass({0, 1});
+  problem.AddClass({0});
+  problem.AddClass({1});
   const auto rate = SolveMaxMinFair(problem);
   EXPECT_NEAR(rate[0], 5.0, kTol);
   EXPECT_NEAR(rate[1], 5.0, kTol);
@@ -118,7 +138,9 @@ TEST(FairshareTest, BottleneckDifferentiation) {
   // takes the rest of link 1 (97).
   MaxMinProblem problem;
   problem.link_capacity = {6.0, 100.0};
-  problem.flow_links = {{0}, {0, 1}, {1}};
+  problem.AddClass({0});
+  problem.AddClass({0, 1});
+  problem.AddClass({1});
   const auto rate = SolveMaxMinFair(problem);
   EXPECT_NEAR(rate[0], 3.0, kTol);
   EXPECT_NEAR(rate[1], 3.0, kTol);
@@ -129,7 +151,8 @@ TEST(FairshareTest, BottleneckDifferentiation) {
 TEST(FairshareTest, ZeroCapacityLinkStallsItsFlows) {
   MaxMinProblem problem;
   problem.link_capacity = {0.0, 50.0};
-  problem.flow_links = {{0, 1}, {1}};
+  problem.AddClass({0, 1});
+  problem.AddClass({1});
   const auto rate = SolveMaxMinFair(problem);
   EXPECT_NEAR(rate[0], 0.0, kTol);
   EXPECT_NEAR(rate[1], 50.0, kTol);
@@ -138,8 +161,8 @@ TEST(FairshareTest, ZeroCapacityLinkStallsItsFlows) {
 TEST(FairshareTest, ZeroCapFlowStalls) {
   MaxMinProblem problem;
   problem.link_capacity = {50.0};
-  problem.flow_links = {{0}, {0}};
-  problem.rate_limit = {0.0, kUnlimitedRate};
+  problem.AddClass({0}, 0.0);
+  problem.AddClass({0});
   const auto rate = SolveMaxMinFair(problem);
   EXPECT_NEAR(rate[0], 0.0, kTol);
   EXPECT_NEAR(rate[1], 50.0, kTol);
@@ -148,8 +171,8 @@ TEST(FairshareTest, ZeroCapFlowStalls) {
 TEST(FairshareTest, FlowWithNoLinksUsesCap) {
   MaxMinProblem problem;
   problem.link_capacity = {10.0};
-  problem.flow_links = {{}, {0}};
-  problem.rate_limit = {7.0, kUnlimitedRate};
+  AddClass(&problem, {}, 7.0);
+  problem.AddClass({0});
   const auto rate = SolveMaxMinFair(problem);
   EXPECT_NEAR(rate[0], 7.0, kTol);
   EXPECT_NEAR(rate[1], 10.0, kTol);
@@ -157,7 +180,7 @@ TEST(FairshareTest, FlowWithNoLinksUsesCap) {
 
 TEST(FairshareTest, UncappedFlowWithNoLinksDies) {
   MaxMinProblem problem;
-  problem.flow_links = {{}};
+  AddClass(&problem, {});
   EXPECT_DEATH({ (void)SolveMaxMinFair(problem); }, "finite rate cap");
 }
 
@@ -165,8 +188,7 @@ TEST(FairshareTest, ProcessorSharingShape) {
   // 8-core node, 12 runnable tasks capped at 1 core each: each gets 8/12.
   MaxMinProblem problem;
   problem.link_capacity = {8.0};
-  problem.flow_links.assign(12, {0});
-  problem.rate_limit.assign(12, 1.0);
+  for (int i = 0; i < 12; ++i) problem.AddClass({0}, 1.0);
   const auto rate = SolveMaxMinFair(problem);
   for (double r : rate) EXPECT_NEAR(r, 8.0 / 12.0, kTol);
 }
@@ -175,8 +197,7 @@ TEST(FairshareTest, ProcessorSharingUnderSubscribed) {
   // 8 cores, 3 tasks: each runs at a full core.
   MaxMinProblem problem;
   problem.link_capacity = {8.0};
-  problem.flow_links.assign(3, {0});
-  problem.rate_limit.assign(3, 1.0);
+  for (int i = 0; i < 3; ++i) problem.AddClass({0}, 1.0);
   for (double r : SolveMaxMinFair(problem)) EXPECT_NEAR(r, 1.0, kTol);
 }
 
@@ -202,26 +223,183 @@ TEST_P(FairshareRandomTest, InvariantsHoldOnRandomProblems) {
         links.push_back(link);
       }
     }
-    problem.flow_links.push_back(std::move(links));
-    if (use_caps) {
-      problem.rate_limit.push_back(
-          static_cast<double>(rng.UniformRange(1, 200)));
-    }
+    AddClass(&problem, links,
+             use_caps ? static_cast<double>(rng.UniformRange(1, 200))
+                      : kUnlimitedRate);
   }
   const auto rate = SolveMaxMinFair(problem);
-  ASSERT_EQ(rate.size(), problem.flow_links.size());
+  ASSERT_EQ(rate.size(), problem.num_classes());
   CheckInvariants(problem, rate);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FairshareRandomTest,
                          ::testing::Range(1, 41));
 
+// The per-flow progressive filling the class solver replaced, kept as the
+// reference: every flow listed on its own, links as nested vectors. Only
+// its cap test changed, to the solver's relative tolerance.
+std::vector<double> ReferenceSolve(
+    const std::vector<double>& link_capacity,
+    const std::vector<std::vector<int32_t>>& flow_links,
+    const std::vector<double>& rate_limit) {
+  constexpr double kEps = 1e-9;
+  const size_t num_flows = flow_links.size();
+  std::vector<double> rate(num_flows, 0.0);
+  std::vector<double> residual = link_capacity;
+  std::vector<int32_t> unfrozen_on_link(link_capacity.size(), 0);
+  std::vector<bool> frozen(num_flows, false);
+  size_t unfrozen_count = num_flows;
+  for (size_t f = 0; f < num_flows; ++f) {
+    bool dead = rate_limit[f] <= kEps;
+    for (int32_t link : flow_links[f]) {
+      if (link_capacity[static_cast<size_t>(link)] <= kEps) dead = true;
+    }
+    if (dead) {
+      frozen[f] = true;
+      --unfrozen_count;
+    } else {
+      for (int32_t link : flow_links[f]) ++unfrozen_on_link[link];
+    }
+  }
+  while (unfrozen_count > 0) {
+    double inc = kUnlimitedRate;
+    for (size_t l = 0; l < link_capacity.size(); ++l) {
+      if (unfrozen_on_link[l] > 0) {
+        inc = std::min(inc, residual[l] / unfrozen_on_link[l]);
+      }
+    }
+    for (size_t f = 0; f < num_flows; ++f) {
+      if (!frozen[f]) inc = std::min(inc, rate_limit[f] - rate[f]);
+    }
+    inc = std::max(inc, 0.0);
+    for (size_t f = 0; f < num_flows; ++f) {
+      if (!frozen[f]) rate[f] += inc;
+    }
+    for (size_t l = 0; l < link_capacity.size(); ++l) {
+      residual[l] -= inc * unfrozen_on_link[l];
+    }
+    for (size_t f = 0; f < num_flows; ++f) {
+      if (frozen[f]) continue;
+      bool freeze =
+          rate[f] >= rate_limit[f] - kEps * std::max(1.0, rate_limit[f]);
+      for (int32_t link : flow_links[f]) {
+        const auto l = static_cast<size_t>(link);
+        if (residual[l] <= kEps * std::max(1.0, link_capacity[l])) {
+          freeze = true;
+        }
+      }
+      if (freeze) {
+        frozen[f] = true;
+        --unfrozen_count;
+        for (int32_t link : flow_links[f]) --unfrozen_on_link[link];
+      }
+    }
+  }
+  return rate;
+}
+
+// Random problems with repeated flows: the class solve must give each
+// class exactly (==, not near) the rate the per-flow reference gives each
+// of its flows, whatever order the expanded flows are listed in. Zero
+// capacities and zero caps exercise the classes frozen up front. One
+// solver serves every problem of a seed, so scratch reuse is covered too.
+class FairshareClassTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FairshareClassTest, ClassSolveEqualsExpandedPerFlowSolve) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 7919);
+  MaxMinSolver solver;
+  for (int trial = 0; trial < 20; ++trial) {
+    const int num_links = static_cast<int>(rng.UniformRange(1, 17));
+    const int num_classes = static_cast<int>(rng.UniformRange(1, 30));
+    MaxMinProblem problem;
+    for (int l = 0; l < num_links; ++l) {
+      problem.link_capacity.push_back(
+          rng.Bernoulli(0.05) ? 0.0 : rng.NextDouble() * 1e9 + 1.0);
+    }
+    std::vector<std::vector<int32_t>> class_links;
+    for (int c = 0; c < num_classes; ++c) {
+      std::vector<int32_t> links;
+      const int crossings = static_cast<int>(rng.UniformRange(1, 3));
+      for (int i = 0; i < crossings; ++i) {
+        const auto link = static_cast<int32_t>(
+            rng.Uniform(static_cast<uint64_t>(num_links)));
+        if (std::find(links.begin(), links.end(), link) == links.end()) {
+          links.push_back(link);
+        }
+      }
+      double cap = kUnlimitedRate;
+      if (rng.Bernoulli(0.3)) cap = rng.NextDouble() * 2e8;
+      if (rng.Bernoulli(0.05)) cap = 0.0;
+      AddClass(&problem, links, cap, rng.UniformRange(1, 6));
+      class_links.push_back(std::move(links));
+    }
+    // Expand every class into its flows, then shuffle their order.
+    std::vector<size_t> class_of;
+    for (int c = 0; c < num_classes; ++c) {
+      class_of.insert(class_of.end(),
+                      static_cast<size_t>(problem.multiplicity[c]),
+                      static_cast<size_t>(c));
+    }
+    for (size_t i = class_of.size(); i > 1; --i) {
+      std::swap(class_of[i - 1], class_of[rng.Uniform(i)]);
+    }
+    std::vector<std::vector<int32_t>> flow_links;
+    std::vector<double> flow_caps;
+    for (size_t c : class_of) {
+      flow_links.push_back(class_links[c]);
+      flow_caps.push_back(problem.rate_limit[c]);
+    }
+
+    const std::vector<double> rate = solver.Solve(problem);
+    const std::vector<double> expanded =
+        ReferenceSolve(problem.link_capacity, flow_links, flow_caps);
+    for (size_t f = 0; f < class_of.size(); ++f) {
+      EXPECT_EQ(expanded[f], rate[class_of[f]])
+          << "trial " << trial << " flow " << f << " of class "
+          << class_of[f];
+    }
+    CheckInvariants(problem, rate);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FairshareClassTest, ::testing::Range(1, 41));
+
+TEST(FairshareTest, ClassWeighsItsMultiplicityOnEveryLink) {
+  // Three flows of class A and one of class B share link 0 (capacity 8);
+  // A alone also crosses link 1. Each flow gets 2.
+  MaxMinProblem problem;
+  problem.link_capacity = {8.0, 100.0};
+  problem.AddClass({0, 1}, kUnlimitedRate, 3);
+  problem.AddClass({0});
+  const auto rate = SolveMaxMinFair(problem);
+  EXPECT_DOUBLE_EQ(rate[0], 2.0);
+  EXPECT_DOUBLE_EQ(rate[1], 2.0);
+  CheckInvariants(problem, rate);
+}
+
+TEST(FairshareTest, LargeCapFreezesAtItsCap) {
+  // Flow 1 is bottlenecked by link 1 in round one; in round two flow 0
+  // rises by cap - rate, and rate + (cap - rate) lands 3.7e-9 below this
+  // cap. An absolute 1e-9 cap tolerance never froze it and the filling
+  // stalled; the tolerance is relative above 1, like the link one.
+  constexpr double kLink1 = 232630.5307692308;
+  constexpr double kCap = 18015719.942857143;
+  MaxMinProblem problem;
+  problem.link_capacity = {1e9, kLink1};
+  problem.AddClass({0}, kCap);
+  problem.AddClass({0, 1});
+  const auto rate = SolveMaxMinFair(problem);
+  EXPECT_NEAR(rate[0], kCap, 1e-6);
+  EXPECT_EQ(rate[1], kLink1);
+  CheckInvariants(problem, rate);
+}
+
 TEST(FairshareTest, WorkConservation) {
   // With one shared link and no caps, the link must be fully used.
   for (int flows = 1; flows <= 16; ++flows) {
     MaxMinProblem problem;
     problem.link_capacity = {100.0};
-    problem.flow_links.assign(static_cast<size_t>(flows), {0});
+    for (int f = 0; f < flows; ++f) problem.AddClass({0});
     const auto rate = SolveMaxMinFair(problem);
     const double total = std::accumulate(rate.begin(), rate.end(), 0.0);
     EXPECT_NEAR(total, 100.0, kTol) << flows << " flows";

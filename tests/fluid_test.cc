@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "sim/fairshare.h"
 
 namespace mrmb {
@@ -9,16 +12,16 @@ namespace {
 
 // Rate solver: every flow served at `rate` units/second, unconditionally.
 FluidPool::RateSolver FixedRate(double rate) {
-  return [rate](std::vector<FluidFlow*>* flows) {
-    for (FluidFlow* flow : *flows) flow->rate = rate;
+  return [rate](std::span<FluidFlow> flows) {
+    for (FluidFlow& flow : flows) flow.rate = rate;
   };
 }
 
 // Rate solver: flows share `capacity` equally.
 FluidPool::RateSolver SharedCapacity(double capacity) {
-  return [capacity](std::vector<FluidFlow*>* flows) {
-    const double each = capacity / static_cast<double>(flows->size());
-    for (FluidFlow* flow : *flows) flow->rate = each;
+  return [capacity](std::span<FluidFlow> flows) {
+    const double each = capacity / static_cast<double>(flows.size());
+    for (FluidFlow& flow : flows) flow.rate = each;
   };
 }
 
@@ -139,8 +142,8 @@ TEST(FluidTest, StalledFlowResumesWhenRateReturns) {
   // Solver gives rate 0 while a "blocker" flag is set.
   Simulator sim;
   bool blocked = true;
-  FluidPool pool(&sim, [&](std::vector<FluidFlow*>* flows) {
-    for (FluidFlow* flow : *flows) flow->rate = blocked ? 0.0 : 10.0;
+  FluidPool pool(&sim, [&](std::span<FluidFlow> flows) {
+    for (FluidFlow& flow : flows) flow.rate = blocked ? 0.0 : 10.0;
   });
   SimTime done = -1;
   pool.Start(10.0, 0, 0, [&](SimTime t) { done = t; });
@@ -167,6 +170,32 @@ TEST(FluidTest, ManyFlowsConserveWork) {
   sim.Run();
   EXPECT_EQ(completed, 50);
   EXPECT_NEAR(pool.TotalDelivered(), total_work, total_work * 1e-5);
+}
+
+TEST(FluidTest, SolverSeesFlowsInStartOrderAfterCancel) {
+  Simulator sim;
+  std::vector<FlowId> seen;
+  FluidPool pool(&sim, [&](std::span<FluidFlow> flows) {
+    seen.clear();
+    for (FluidFlow& flow : flows) {
+      seen.push_back(flow.id);
+      flow.rate = 1.0;
+    }
+  });
+  std::vector<FlowId> ids;
+  for (int i = 0; i < 5; ++i) {
+    ids.push_back(pool.Start(10.0 + i, i, i, [](SimTime) {}));
+  }
+  EXPECT_TRUE(pool.Cancel(ids[2]));
+  EXPECT_FALSE(pool.Cancel(ids[2]));
+  EXPECT_EQ(seen, (std::vector<FlowId>{ids[0], ids[1], ids[3], ids[4]}));
+  EXPECT_DOUBLE_EQ(pool.Remaining(ids[3]), 13.0);
+  EXPECT_DOUBLE_EQ(pool.Remaining(ids[2]), 0.0);
+  const FlowId late = pool.Start(1.0, 9, 9, [](SimTime) {});
+  EXPECT_EQ(seen.back(), late);
+  sim.Run();
+  EXPECT_EQ(pool.active_flows(), 0u);
+  EXPECT_NEAR(pool.DeliveredTo(9), 1.0, 1e-9);
 }
 
 TEST(FluidTest, DeterministicCompletionOrder) {

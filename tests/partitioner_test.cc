@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
 #include "common/rng.h"
 #include "io/byte_buffer.h"
@@ -182,6 +183,58 @@ TEST(PlanPartitionCountsTest, SkewWithFewPartitionsClamps) {
   EXPECT_EQ(counts[0] + counts[1], 1000);
   // Quota slots 0 and 2 both land on partition 0: >= 62.5%.
   EXPECT_GT(counts[0], 600);
+}
+
+// Plans big enough to start threads (the planner goes parallel from 2^18
+// draws per thread): the job plan must be the same for 1, 4 and the
+// automatic number of threads, and every row must equal both the per-map
+// plan and a count of the per-record partitioner's choices.
+TEST(PlanPartitionCountsTest, ParallelJobPlanEqualsSerialAndPerRecord) {
+  constexpr int kMaps = 8;
+  struct Case {
+    DistributionPattern pattern;
+    int64_t records_per_map;  // >= 2^20 draws over the job
+    int reduces;
+  };
+  for (const Case& c : {Case{DistributionPattern::kAverage, 50000, 7},
+                        Case{DistributionPattern::kRandom, 160000, 7},
+                        Case{DistributionPattern::kRandom, 160000, 64},
+                        Case{DistributionPattern::kSkewed, 1100000, 64},
+                        Case{DistributionPattern::kZipf, 160000, 13}}) {
+    SCOPED_TRACE(DistributionPatternName(c.pattern));
+    std::vector<uint64_t> seeds;
+    for (int m = 0; m < kMaps; ++m) seeds.push_back(3 + 7919ULL * m);
+    const std::vector<int64_t> serial = PlanJobPartitionCounts(
+        c.pattern, seeds, c.records_per_map, c.reduces, 1.2, 1);
+    EXPECT_EQ(PlanJobPartitionCounts(c.pattern, seeds, c.records_per_map,
+                                     c.reduces, 1.2, 4),
+              serial);
+    EXPECT_EQ(PlanJobPartitionCounts(c.pattern, seeds, c.records_per_map,
+                                     c.reduces, 1.2),
+              serial);
+    ASSERT_EQ(serial.size(), static_cast<size_t>(kMaps * c.reduces));
+    for (int m = 0; m < kMaps; ++m) {
+      const std::vector<int64_t> row(serial.begin() + m * c.reduces,
+                                     serial.begin() + (m + 1) * c.reduces);
+      EXPECT_EQ(row, PlanPartitionCounts(c.pattern, seeds[m],
+                                         c.records_per_map, c.reduces, 1.2))
+          << "map " << m;
+      auto partitioner =
+          MakePartitioner(c.pattern, seeds[m], c.records_per_map, 1.2);
+      std::vector<int64_t> actual(static_cast<size_t>(c.reduces), 0);
+      for (int64_t i = 0; i < c.records_per_map; ++i) {
+        ++actual[static_cast<size_t>(
+            partitioner->Partition("", i, c.reduces))];
+      }
+      EXPECT_EQ(row, actual) << "map " << m;
+    }
+  }
+}
+
+TEST(PlanPartitionCountsTest, JobPlanOfNoMapsIsEmpty) {
+  EXPECT_TRUE(PlanJobPartitionCounts(DistributionPattern::kRandom, {}, 1000,
+                                     8)
+                  .empty());
 }
 
 namespace {
