@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "io/byte_buffer.h"
+#include "io/checksum.h"
+#include "mapred/job_conf.h"
+#include "mapred/null_formats.h"
 
 namespace mrmb {
 namespace {
@@ -191,6 +197,127 @@ TEST(RecordGenTest, IntWritableRecords) {
   EXPECT_EQ(key_a, key_b);
   generator.SerializedKey(2, &key_b);
   EXPECT_NE(key_a, key_b);
+}
+
+// ---- Pinned generator bytes --------------------------------------------
+// The generated bytes are the benchmark's input: every output fingerprint
+// depends on them. These CRC32Cs were captured before the payload mapping
+// and the mapper's key reuse were optimised; each row chains the CRCs of
+// the serialized keys (or values) of a few ids (or record indices).
+
+struct GeneratorGolden {
+  DataType type;
+  uint64_t seed;
+  size_t key_size;
+  size_t value_size;
+  uint32_t keys_crc;
+  uint32_t values_crc;
+};
+
+TEST(RecordGenGoldenTest, SerializedBytesArePinned) {
+  const GeneratorGolden goldens[] = {
+      {DataType::kText, 1, 504, 504, 0x749d4485u, 0xe35357b4u},
+      {DataType::kText, 0x9e3779b97f4a7c15ULL, 37, 1000, 0x716554c7u,
+       0xd98f2097u},
+      {DataType::kText, 42, 8, 0, 0xaa384719u, 0x45727635u},
+      {DataType::kBytesWritable, 1, 504, 504, 0xdc8de15fu, 0x9636b41eu},
+      {DataType::kBytesWritable, 0x9e3779b97f4a7c15ULL, 37, 1000,
+       0x0ed3608cu, 0xc909c974u},
+      {DataType::kBytesWritable, 42, 8, 0, 0x457aab14u, 0xbcc5563eu},
+  };
+  const int64_t key_ids[] = {0, 1, 7, 255, 123456789};
+  const int64_t indices[] = {0, 1, 5, 4095, int64_t{1} << 40};
+  for (const GeneratorGolden& golden : goldens) {
+    RecordGenerator::Options options;
+    options.type = golden.type;
+    options.seed = golden.seed;
+    options.key_size = golden.key_size;
+    options.value_size = golden.value_size;
+    RecordGenerator generator(options);
+    std::string bytes;
+    uint32_t keys_crc = kCrc32cInit;
+    for (const int64_t id : key_ids) {
+      generator.SerializedKey(id, &bytes);
+      keys_crc = Crc32c(keys_crc, bytes);
+    }
+    uint32_t values_crc = kCrc32cInit;
+    for (const int64_t index : indices) {
+      generator.SerializedValue(index, &bytes);
+      values_crc = Crc32c(values_crc, bytes);
+    }
+    const std::string row = std::string(DataTypeName(golden.type)) +
+                            " seed " + std::to_string(golden.seed) +
+                            " key " + std::to_string(golden.key_size);
+    EXPECT_EQ(keys_crc, golden.keys_crc) << row;
+    EXPECT_EQ(values_crc, golden.values_crc) << row;
+  }
+}
+
+// ---- GeneratingMapper emits exactly the per-record generator stream ------
+
+class RecordingContext final : public MapContext {
+ public:
+  explicit RecordingContext(const JobConf& conf) : conf_(conf) {}
+  void Emit(std::string_view key, std::string_view value) override {
+    records.emplace_back(key, value);
+  }
+  const JobConf& conf() const override { return conf_; }
+  int task_id() const override { return 0; }
+
+  std::vector<std::pair<std::string, std::string>> records;
+
+ private:
+  const JobConf& conf_;
+};
+
+TEST(GeneratingMapperTest, EmitsPerRecordKeysAndValuesForEveryType) {
+  struct Case {
+    DataType type;
+    int num_unique_keys;
+    int64_t records_per_map;
+  };
+  const Case cases[] = {
+      {DataType::kText, 8, 37},          {DataType::kBytesWritable, 8, 37},
+      {DataType::kIntWritable, 8, 37},   {DataType::kLongWritable, 8, 37},
+      {DataType::kText, 64, 5},          {DataType::kBytesWritable, 64, 5},
+      {DataType::kIntWritable, 64, 5},   {DataType::kLongWritable, 64, 5},
+      {DataType::kText, 3, 0},           {DataType::kLongWritable, 3, 0},
+      {DataType::kText, 1, 9},           {DataType::kBytesWritable, 100, 250},
+  };
+  for (const Case& c : cases) {
+    JobConf conf;
+    conf.record.type = c.type;
+    conf.record.key_size = 48;
+    conf.record.value_size = 77;
+    conf.record.num_unique_keys = c.num_unique_keys;
+    conf.records_per_map = c.records_per_map;
+    conf.seed = 11;
+    const int task = 3;
+    GeneratingMapper mapper(conf, task);
+    RecordingContext context(conf);
+    mapper.Map("", "", &context);
+
+    RecordGenerator::Options options = conf.record;
+    options.seed = conf.seed;
+    RecordGenerator generator(options);
+    const std::string label = std::string(DataTypeName(c.type)) + " unique " +
+                              std::to_string(c.num_unique_keys) +
+                              " records " + std::to_string(c.records_per_map);
+    ASSERT_EQ(context.records.size(),
+              static_cast<size_t>(c.records_per_map))
+        << label;
+    const int64_t base = task * c.records_per_map;
+    std::string key;
+    std::string value;
+    for (int64_t i = 0; i < c.records_per_map; ++i) {
+      generator.SerializedKey(generator.KeyIdFor(i), &key);
+      generator.SerializedValue(base + i, &value);
+      ASSERT_EQ(context.records[static_cast<size_t>(i)].first, key)
+          << label << " record " << i;
+      ASSERT_EQ(context.records[static_cast<size_t>(i)].second, value)
+          << label << " record " << i;
+    }
+  }
 }
 
 }  // namespace
