@@ -588,8 +588,9 @@ BENCHMARK(BM_BlockDecompress)
     ->Args({static_cast<int>(MapOutputCodec::kDeflate),
             static_cast<int>(DataType::kBytesWritable)});
 
-void BM_RecordGeneration(benchmark::State& state) {
+void BM_RecordGeneration(benchmark::State& state, DataType type) {
   RecordGenerator::Options options;
+  options.type = type;
   options.key_size = static_cast<size_t>(state.range(0));
   options.value_size = static_cast<size_t>(state.range(0));
   options.num_unique_keys = 8;
@@ -607,7 +608,14 @@ void BM_RecordGeneration(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 2 *
                           state.range(0));
 }
-BENCHMARK(BM_RecordGeneration)->Arg(64)->Arg(512)->Arg(4096);
+BENCHMARK_CAPTURE(BM_RecordGeneration, bytes, DataType::kBytesWritable)
+    ->Arg(64)
+    ->Arg(512)
+    ->Arg(4096);
+BENCHMARK_CAPTURE(BM_RecordGeneration, text, DataType::kText)
+    ->Arg(64)
+    ->Arg(512)
+    ->Arg(4096);
 
 }  // namespace
 }  // namespace mrmb

@@ -9,7 +9,9 @@
 #ifndef MRMB_COMMON_RNG_H_
 #define MRMB_COMMON_RNG_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 
 #include "common/logging.h"
 
@@ -78,13 +80,18 @@ class Rng {
   // Bernoulli trial with success probability `p` (clamped to [0, 1]).
   bool Bernoulli(double p) { return NextDouble() < p; }
 
-  // Fills `out[0..len)` with pseudo-random bytes.
+  // Fills `out[0..len)` with pseudo-random bytes: each 64-bit draw in
+  // little-endian byte order.
   void Fill(char* out, size_t len) {
     size_t i = 0;
     while (i + 8 <= len) {
       const uint64_t v = Next64();
-      for (int b = 0; b < 8; ++b) {
-        out[i + static_cast<size_t>(b)] = static_cast<char>(v >> (8 * b));
+      if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(out + i, &v, sizeof(v));
+      } else {
+        for (int b = 0; b < 8; ++b) {
+          out[i + static_cast<size_t>(b)] = static_cast<char>(v >> (8 * b));
+        }
       }
       i += 8;
     }

@@ -1,6 +1,7 @@
 #include "io/kv_buffer.h"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 
 #include "common/logging.h"
@@ -27,35 +28,41 @@ size_t FramedLength(std::string_view key, std::string_view value) {
 }
 
 // Stable LSD radix sort of `refs` by their 8-byte key_prefix, one byte per
-// digit. One pass builds all eight digit histograms; a digit whose value is
-// the same across the whole bucket (e.g. the sign-flipped top bytes of
-// small LongWritable keys, or the unused low half of IntWritable prefixes)
-// costs no scatter pass. Each scatter pass is stable, so equal prefixes keep
-// arrival order: for prefix-decisive key types the result is exactly what
-// std::stable_sort with the raw comparator produces. The scratch buffer
-// lives only for this call, like std::stable_sort's temporary buffer.
+// digit. A first pass ORs every prefix's difference from the first one, so
+// digits whose value is the same across the whole bucket (e.g. the
+// sign-flipped top bytes of small LongWritable keys, or the unused low half
+// of IntWritable prefixes) get neither a histogram nor a scatter pass. Each
+// scatter pass is stable, so equal prefixes keep arrival order: for
+// prefix-decisive key types the result is exactly what std::stable_sort
+// with the raw comparator produces. The scratch buffer lives only for this
+// call, like std::stable_sort's temporary buffer.
 template <typename Ref>
 void RadixSortByPrefix(std::vector<Ref>* refs) {
   const size_t n = refs->size();
   if (n < 2) return;
   constexpr int kDigits = 8;
-  uint32_t counts[kDigits][256] = {};
+  const uint64_t first = (*refs)[0].key_prefix;
+  uint64_t varying = 0;
+  for (const Ref& ref : *refs) varying |= ref.key_prefix ^ first;
+  int shifts[kDigits];
+  int num_digits = 0;
+  for (int d = 0; d < kDigits; ++d) {
+    if (((varying >> (8 * d)) & 0xFF) != 0) shifts[num_digits++] = 8 * d;
+  }
+  if (num_digits == 0) return;
+  uint32_t counts[kDigits][256];
+  std::memset(counts, 0, sizeof(counts[0]) * static_cast<size_t>(num_digits));
   for (const Ref& ref : *refs) {
-    for (int d = 0; d < kDigits; ++d) {
-      ++counts[d][(ref.key_prefix >> (8 * d)) & 0xFF];
+    for (int k = 0; k < num_digits; ++k) {
+      ++counts[k][(ref.key_prefix >> shifts[k]) & 0xFF];
     }
   }
-  std::unique_ptr<Ref[]> scratch;
+  std::unique_ptr<Ref[]> scratch = std::make_unique_for_overwrite<Ref[]>(n);
   Ref* src = refs->data();
-  Ref* dst = nullptr;
-  for (int d = 0; d < kDigits; ++d) {
-    const int shift = 8 * d;
-    uint32_t* count = counts[d];
-    if (count[(src[0].key_prefix >> shift) & 0xFF] == n) continue;
-    if (scratch == nullptr) {
-      scratch = std::make_unique_for_overwrite<Ref[]>(n);
-      dst = scratch.get();
-    }
+  Ref* dst = scratch.get();
+  for (int k = 0; k < num_digits; ++k) {
+    const int shift = shifts[k];
+    uint32_t* count = counts[k];
     uint32_t sum = 0;
     for (int b = 0; b < 256; ++b) {
       const uint32_t c = count[b];

@@ -30,12 +30,27 @@ void RecordGenerator::FillPayload(uint64_t stream_seed, size_t len,
   out->resize(start + len);
   Rng rng(stream_seed);
   rng.Fill(out->data() + start, len);
-  if (options_.type == DataType::kText) {
-    // Text payloads must be valid UTF-8; map every byte to 'a'..'z'.
-    for (size_t i = start; i < out->size(); ++i) {
-      (*out)[i] = static_cast<char>(
-          'a' + (static_cast<unsigned char>((*out)[i]) % 26));
-    }
+  if (options_.type != DataType::kText) return;
+  // Text payloads must be valid UTF-8; map every byte to 'a'..'z'.
+  // c - 26 * ((c * 2521) >> 16) == c % 26 for every byte value, and the
+  // fixed 16-byte inner loop vectorizes at -O2 as well as -O3.
+  auto* p = reinterpret_cast<unsigned char*>(out->data() + start);
+  const auto to_letter = [](unsigned c) {
+    return static_cast<unsigned char>('a' + c - 26 * ((c * 2521) >> 16));
+  };
+  size_t i = 0;
+  for (; i + 16 <= len; i += 16) {
+    for (size_t j = 0; j < 16; ++j) p[i + j] = to_letter(p[i + j]);
+  }
+  for (; i < len; ++i) p[i] = to_letter(p[i]);
+}
+
+void RecordGenerator::AppendPayloadLength(size_t len, std::string* out) const {
+  BufferWriter writer(out);
+  if (options_.type == DataType::kBytesWritable) {
+    writer.AppendFixed32(static_cast<uint32_t>(len));  // BytesWritable
+  } else {
+    writer.AppendVarint64(static_cast<int64_t>(len));  // Text
   }
 }
 
@@ -51,29 +66,19 @@ void RecordGenerator::SerializedKey(int64_t key_id, std::string* out) const {
     LongWritable(key_id).Serialize(&writer);
     return;
   }
-  std::string payload;
-  payload.reserve(options_.key_size);
+  out->reserve(serialized_key_size_);
+  AppendPayloadLength(options_.key_size, out);
   // Big-endian key id first: distinct ids sort and compare distinctly, and
   // identical ids yield identical bytes.
   for (int i = 0; i < 8; ++i) {
-    payload.push_back(static_cast<char>(
-        static_cast<uint64_t>(key_id) >> (56 - 8 * i)));
-  }
-  if (options_.type == DataType::kText) {
-    for (char& c : payload) {
-      c = static_cast<char>('a' + (static_cast<unsigned char>(c) % 26));
-    }
+    const auto c = static_cast<unsigned char>(static_cast<uint64_t>(key_id) >>
+                                              (56 - 8 * i));
+    out->push_back(static_cast<char>(
+        options_.type == DataType::kText ? 'a' + c % 26 : c));
   }
   FillPayload(options_.seed ^ (0x517cc1b727220a95ULL +
                                static_cast<uint64_t>(key_id)),
-              options_.key_size - payload.size(), &payload);
-
-  BufferWriter writer(out);
-  if (options_.type == DataType::kBytesWritable) {
-    BytesWritable(std::move(payload)).Serialize(&writer);
-  } else {
-    Text(std::move(payload)).Serialize(&writer);
-  }
+              options_.key_size - 8, out);
 }
 
 void RecordGenerator::SerializedValue(int64_t index, std::string* out) const {
@@ -88,17 +93,11 @@ void RecordGenerator::SerializedValue(int64_t index, std::string* out) const {
     LongWritable(index).Serialize(&writer);
     return;
   }
-  std::string payload;
-  payload.reserve(options_.value_size);
+  out->reserve(serialized_value_size_);
+  AppendPayloadLength(options_.value_size, out);
   FillPayload(options_.seed ^ (0x2545f4914f6cdd1dULL +
                                static_cast<uint64_t>(index)),
-              options_.value_size, &payload);
-  BufferWriter writer(out);
-  if (options_.type == DataType::kBytesWritable) {
-    BytesWritable(std::move(payload)).Serialize(&writer);
-  } else {
-    Text(std::move(payload)).Serialize(&writer);
-  }
+              options_.value_size, out);
 }
 
 size_t RecordGenerator::framed_record_size() const {

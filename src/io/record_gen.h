@@ -63,7 +63,10 @@ class RecordGenerator {
   const Options& options() const { return options_; }
 
  private:
+  // Appends `len` payload bytes of the stream seeded by `stream_seed`.
   void FillPayload(uint64_t stream_seed, size_t len, std::string* out) const;
+  // Appends the Text / BytesWritable length prefix of a `len`-byte payload.
+  void AppendPayloadLength(size_t len, std::string* out) const;
 
   Options options_;
   size_t serialized_key_size_ = 0;

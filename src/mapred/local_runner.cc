@@ -176,11 +176,12 @@ struct MapCombineStats {
 //
 // With the disk spill engine on (`store` non-null), sealed spills go to
 // extent files once the attempt's resident spill bytes would exceed
-// JobConf::spill_budget_bytes; admission control degrades an ENOSPC/EIO
-// write back to RAM residency instead of failing the attempt. Residency
-// decisions depend only on this attempt's own spill sizes, so the merged
-// output — and every byte-level counter derived from committed attempts —
-// stays deterministic for any thread count.
+// JobConf::spill_budget_bytes (a map's only spill never does: it is the
+// map output, stored once by the caller); admission control degrades an
+// ENOSPC/EIO write back to RAM residency instead of failing the attempt.
+// Residency decisions depend only on this attempt's own spill sizes, so
+// the merged output — and every byte-level counter derived from committed
+// attempts — stays deterministic for any thread count.
 class LocalMapContext final : public MapContext {
  public:
   LocalMapContext(const JobConf& conf, int task_id, int attempt,
@@ -228,7 +229,7 @@ class LocalMapContext final : public MapContext {
             task_id_, key.size(), value.size(), buffer_.capacity()));
         return;
       }
-      SpillBuffer();
+      SpillBuffer(/*may_store=*/true);
       MRMB_CHECK(buffer_.Append(partition, key, value));
     }
     ++emitted_;
@@ -241,15 +242,16 @@ class LocalMapContext final : public MapContext {
   // Finishes the task: final spill + merge to a single sealed segment.
   Result<SpillSegment> Finalize() {
     MRMB_RETURN_IF_ERROR(status_);
-    if (buffer_.records() > 0 || spills_.empty()) SpillBuffer();
-    MRMB_RETURN_IF_ERROR(status_);  // SpillBuffer can fail a disk write
-    if (spills_.size() == 1) {
-      if (spills_[0].stored == nullptr) return std::move(spills_[0].resident);
-      // Single disk-backed spill: rehydrate it verified — disk bytes are
-      // untrusted, and a damaged extent must fail the attempt (a retry
-      // reproduces the output), never feed the merge garbage.
-      return spills_[0].stored->ReadSegment(/*verify=*/true);
+    // A lone spill already is the map output: it stays resident, and the
+    // caller stores it once as the final output (Hadoop renames spill0.out
+    // to file.out), instead of writing it, reading it back and writing it
+    // again.
+    if (spills_.empty()) {
+      SpillBuffer(/*may_store=*/false);
+      return std::move(spills_[0].resident);
     }
+    if (buffer_.records() > 0) SpillBuffer(/*may_store=*/true);
+    MRMB_RETURN_IF_ERROR(status_);  // SpillBuffer can fail a disk write
     // Multi-spill merge, partition by partition — the same per-partition
     // MergeFramedRuns + final seal MergeSegments performs, so the result is
     // byte-identical whether each input run sat in RAM or on disk.
@@ -351,7 +353,9 @@ class LocalMapContext final : public MapContext {
                                   : slot.resident.partitions;
   }
 
-  void SpillBuffer() {
+  // Seals the buffer into a spill. With `may_store`, the spill goes to an
+  // extent once it would take resident spill bytes past the budget.
+  void SpillBuffer(bool may_store) {
     buffer_.Sort(sort_pool_.get());
     SpillSegment spill = buffer_.ToSpill();
     if (combiner_ != nullptr) {
@@ -372,8 +376,8 @@ class LocalMapContext final : public MapContext {
     }
     buffer_.Clear();
     const int64_t bytes = spill.total_bytes();
-    if (store_ != nullptr && resident_spill_bytes_ + bytes >
-                                 spill_budget_bytes_) {
+    if (may_store && store_ != nullptr &&
+        resident_spill_bytes_ + bytes > spill_budget_bytes_) {
       Result<std::shared_ptr<const StoredSpill>> stored =
           store_->Put(spill, task_id_, attempt_);
       if (stored.ok()) {

@@ -147,7 +147,9 @@ struct LocalJobResult {
   // Physical extent bytes written by committed map attempts (spills plus
   // final outputs, after block compression and framing).
   int64_t spilled_bytes = 0;
-  // Extent files written by committed map attempts.
+  // Extent files written by committed map attempts: each final output,
+  // plus every spill of a map that spilled more than once (a lone spill is
+  // the final output).
   int64_t spill_extents = 0;
   // Writes that fell back to RAM residency on ENOSPC/EIO instead of
   // failing the attempt.

@@ -1,5 +1,9 @@
 #include "mapred/null_formats.h"
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/logging.h"
 #include "io/byte_buffer.h"
 #include "io/writable.h"
@@ -79,10 +83,30 @@ GeneratingMapper::GeneratingMapper(const JobConf& conf, int task_id)
 
 void GeneratingMapper::Map(std::string_view /*key*/,
                            std::string_view /*value*/, MapContext* context) {
-  std::string key_out;
+  // Keys are a pure function of their id, so the ids this map cycles over
+  // are serialized once, unless that many key bytes would not stay small.
+  constexpr size_t kMaxKeyCacheBytes = size_t{1} << 20;
+  const int64_t records = conf_.records_per_map;
+  const int64_t distinct_keys = std::min<int64_t>(
+      generator_.options().num_unique_keys, records);
+  const int64_t base = static_cast<int64_t>(task_id_) * records;
   std::string value_out;
-  const int64_t base = static_cast<int64_t>(task_id_) * conf_.records_per_map;
-  for (int64_t i = 0; i < conf_.records_per_map; ++i) {
+  if (static_cast<size_t>(distinct_keys) * generator_.serialized_key_size() <=
+      kMaxKeyCacheBytes) {
+    std::vector<std::string> keys(static_cast<size_t>(distinct_keys));
+    for (int64_t id = 0; id < distinct_keys; ++id) {
+      generator_.SerializedKey(id, &keys[static_cast<size_t>(id)]);
+    }
+    size_t next_key = 0;
+    for (int64_t i = 0; i < records; ++i) {
+      generator_.SerializedValue(base + i, &value_out);
+      context->Emit(keys[next_key], value_out);
+      if (++next_key == keys.size()) next_key = 0;
+    }
+    return;
+  }
+  std::string key_out;
+  for (int64_t i = 0; i < records; ++i) {
     generator_.SerializedKey(generator_.KeyIdFor(i), &key_out);
     generator_.SerializedValue(base + i, &value_out);
     context->Emit(key_out, value_out);

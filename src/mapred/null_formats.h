@@ -44,7 +44,8 @@ class NullOutputFormat final : public OutputFormat {
 
 // The micro-benchmark mapper: ignores its (dummy) input record and emits
 // `conf.records_per_map` generated pairs, with key identity cycling over
-// the configured unique-key count.
+// the configured unique-key count. Each distinct key is serialized once per
+// map; values are generated per record.
 class GeneratingMapper final : public Mapper {
  public:
   GeneratingMapper(const JobConf& conf, int task_id);

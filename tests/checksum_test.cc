@@ -116,6 +116,51 @@ TEST(Crc32cKernelsTest, RandomChunkingMatchesOneShot) {
   }
 }
 
+// The x86-64 hardware kernel runs three interleaved streams over rounds of
+// three 256-byte blocks and joins the streams with shift tables. Every
+// length up to two rounds + 64 crosses each round and tail boundary;
+// chaining from a non-initial CRC checks that the running state enters the
+// first stream.
+TEST(Crc32cKernelsTest, ThreeStreamKernelMatchesReferenceOnEveryLength) {
+  if (!Crc32cHardwareAvailable()) GTEST_SKIP() << "no SSE4.2 on this host";
+  constexpr size_t kMaxLen = 2 * 3 * 256 + 64;
+  constexpr uint32_t kChained = 0x9b3f5c21;
+  Rng rng(0x3517);
+  std::string buffer(kMaxLen + 8, '\0');
+  rng.Fill(buffer.data(), buffer.size());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    // Reference CRCs of the first `len` bytes, extended one byte at a time.
+    uint32_t want_init = kCrc32cInit;
+    uint32_t want_chained = kChained;
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      const std::string_view data(buffer.data() + offset, len);
+      ASSERT_EQ(Crc32cHardware(kCrc32cInit, data), want_init)
+          << "offset " << offset << " len " << len;
+      ASSERT_EQ(Crc32cHardware(kChained, data), want_chained)
+          << "offset " << offset << " len " << len << " (chained)";
+      const std::string_view next(buffer.data() + offset + len, 1);
+      want_init = Crc32cReference(want_init, next);
+      want_chained = Crc32cReference(want_chained, next);
+    }
+  }
+}
+
+TEST(Crc32cKernelsTest, ThreeStreamKernelMatchesReferenceOnRandomLengths) {
+  if (!Crc32cHardwareAvailable()) GTEST_SKIP() << "no SSE4.2 on this host";
+  constexpr size_t kMaxLen = size_t{1} << 20;
+  Rng rng(0x3518);
+  std::string buffer(kMaxLen + 8, '\0');
+  rng.Fill(buffer.data(), buffer.size());
+  for (int trial = 0; trial < 24; ++trial) {
+    const size_t len = static_cast<size_t>(rng.Uniform(kMaxLen + 1));
+    const size_t offset = static_cast<size_t>(rng.Uniform(8));
+    const auto crc = static_cast<uint32_t>(rng.Next64());
+    const std::string_view data(buffer.data() + offset, len);
+    EXPECT_EQ(Crc32cHardware(crc, data), Crc32cReference(crc, data))
+        << "offset " << offset << " len " << len << " crc " << crc;
+  }
+}
+
 TEST(Crc32cKernelsTest, ImplNameIsOneOfTheKnownKernels) {
   const std::string name = Crc32cImplName();
   EXPECT_TRUE(name == "sse4.2" || name == "slicing-by-8") << name;

@@ -241,6 +241,60 @@ TEST(LocalRunnerSpillTest, CacheCountersMoveWhenCacheEnabled) {
   EXPECT_EQ(uncached.result.spill_cache_misses, 0);
 }
 
+TEST(LocalRunnerSpillTest, MultiSpillMapsWriteEverySpillAndTheirOutputs) {
+  const JobOutcome outcome = RunGoldenJob(SpillConf());
+  EXPECT_GT(outcome.result.spill_count, outcome.result.map_attempts);
+  EXPECT_EQ(outcome.result.spill_extents,
+            outcome.result.spill_count + SpillConf().num_maps);
+}
+
+// ---- Lone spill: a map's only spill is stored once, as its output --------
+
+// A sort buffer that holds a whole map's output: every map spills once.
+JobConf LoneSpillConf() {
+  JobConf conf = SpillConf();
+  conf.io_sort_bytes = 1 << 20;
+  return conf;
+}
+
+TEST(LocalRunnerSpillTest, LoneSpillIsStoredOnceAsTheMapOutput) {
+  for (MapOutputCodec codec : {MapOutputCodec::kNone, MapOutputCodec::kLz4}) {
+    JobConf conf = LoneSpillConf();
+    conf.map_output_codec = codec;
+    const JobOutcome outcome = RunGoldenJob(conf);
+    JobConf in_memory = conf;
+    in_memory.spill_budget_bytes = -1;
+    const JobOutcome ram = RunGoldenJob(in_memory);
+    EXPECT_FALSE(ram.result.spill_engine_enabled);
+    EXPECT_EQ(outcome.fingerprint, ram.fingerprint)
+        << "codec=" << MapOutputCodecName(codec);
+    EXPECT_EQ(outcome.fingerprint, InMemoryFingerprint())
+        << "codec=" << MapOutputCodecName(codec);
+    EXPECT_EQ(outcome.result.spill_count, conf.num_maps);
+    EXPECT_EQ(outcome.result.spill_extents, conf.num_maps)
+        << "codec=" << MapOutputCodecName(codec);
+    EXPECT_EQ(outcome.result.map_retries, 0);
+  }
+}
+
+TEST(LocalRunnerSpillTest, LoneSpillOutputExtentRepairsABitFlip) {
+  const JobConf conf = WithPlan(LoneSpillConf(), "corrupt_block:2@a=0,b=0");
+  const JobOutcome outcome = RunGoldenJob(conf);
+  EXPECT_EQ(outcome.fingerprint, InMemoryFingerprint());
+  EXPECT_GE(outcome.result.spill_blocks_repaired, 1);
+  EXPECT_EQ(outcome.result.spill_blocks_lost, 0);
+  EXPECT_EQ(outcome.result.map_retries, 0);
+}
+
+TEST(LocalRunnerSpillTest, LoneSpillOutputExtentRecoversFromDamage) {
+  for (const char* plan : {"corrupt_block:2@a=0,b=0,n=3", "torn_write:1@a=0"}) {
+    const JobOutcome outcome = RunGoldenJob(WithPlan(LoneSpillConf(), plan));
+    EXPECT_EQ(outcome.fingerprint, InMemoryFingerprint()) << plan;
+    EXPECT_GE(outcome.result.spill_blocks_lost, 1) << plan;
+    EXPECT_GE(outcome.result.map_retries, 1) << plan;  // re-executed map
+  }
+}
+
 // ---- Fault survival: every injected I/O fault ends in recovery -----------
 
 TEST(LocalRunnerSpillTest, SingleBitBlockCorruptionIsRepairedInPlace) {

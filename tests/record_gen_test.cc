@@ -275,19 +275,30 @@ TEST(GeneratingMapperTest, EmitsPerRecordKeysAndValuesForEveryType) {
     DataType type;
     int num_unique_keys;
     int64_t records_per_map;
+    size_t key_size = 48;
   };
   const Case cases[] = {
-      {DataType::kText, 8, 37},          {DataType::kBytesWritable, 8, 37},
-      {DataType::kIntWritable, 8, 37},   {DataType::kLongWritable, 8, 37},
-      {DataType::kText, 64, 5},          {DataType::kBytesWritable, 64, 5},
-      {DataType::kIntWritable, 64, 5},   {DataType::kLongWritable, 64, 5},
-      {DataType::kText, 3, 0},           {DataType::kLongWritable, 3, 0},
-      {DataType::kText, 1, 9},           {DataType::kBytesWritable, 100, 250},
+      {DataType::kText, 8, 37},
+      {DataType::kBytesWritable, 8, 37},
+      {DataType::kIntWritable, 8, 37},
+      {DataType::kLongWritable, 8, 37},
+      // More unique keys than records: each record has its own key.
+      {DataType::kText, 64, 5},
+      {DataType::kBytesWritable, 64, 5},
+      {DataType::kIntWritable, 64, 5},
+      {DataType::kLongWritable, 64, 5},
+      {DataType::kText, 3, 0},
+      {DataType::kLongWritable, 3, 0},
+      {DataType::kText, 1, 9},
+      {DataType::kBytesWritable, 100, 250},
+      // 32 keys of 64 KB each: too many key bytes to serialize up front.
+      {DataType::kText, 32, 40, 64 * 1024},
+      {DataType::kBytesWritable, 32, 40, 64 * 1024},
   };
   for (const Case& c : cases) {
     JobConf conf;
     conf.record.type = c.type;
-    conf.record.key_size = 48;
+    conf.record.key_size = c.key_size;
     conf.record.value_size = 77;
     conf.record.num_unique_keys = c.num_unique_keys;
     conf.records_per_map = c.records_per_map;
