@@ -117,7 +117,7 @@ struct Crc32cShift {
 
   explicit Crc32cShift(size_t zero_bytes) {
     const std::array<uint32_t, 256>& t0 = Crc32cTables()[0];
-    uint32_t bit_image[32];
+    uint32_t bit_image[32] = {};
     for (int bit = 0; bit < 32; ++bit) {
       uint32_t crc = uint32_t{1} << bit;
       for (size_t i = 0; i < zero_bytes; ++i) crc = t0[crc & 0xff] ^ (crc >> 8);
@@ -140,8 +140,7 @@ struct Crc32cShift {
   }
 };
 
-// Bytes per stream in one round of three. A round's two table shifts cost
-// about as much as 8 of its 96 `crc32q` steps.
+// Bytes per stream in one round of three.
 constexpr size_t kStreamBlock = 256;
 
 const Crc32cShift& StreamBlockShift() {

@@ -44,7 +44,7 @@ void RadixSortByPrefix(std::vector<Ref>* refs) {
   const uint64_t first = (*refs)[0].key_prefix;
   uint64_t varying = 0;
   for (const Ref& ref : *refs) varying |= ref.key_prefix ^ first;
-  int shifts[kDigits];
+  int shifts[kDigits] = {};
   int num_digits = 0;
   for (int d = 0; d < kDigits; ++d) {
     if (((varying >> (8 * d)) & 0xFF) != 0) shifts[num_digits++] = 8 * d;
