@@ -308,6 +308,35 @@ void BM_KvBufferCollectAndSortLong(benchmark::State& state) {
 }
 BENCHMARK(BM_KvBufferCollectAndSortLong)->Arg(10000)->Arg(250000);
 
+// One whole per-spill combine in the MR-SKEW sum-combine shape (records as
+// in BM_KvBufferCollectAndSortLong): collect, sort, and combine every
+// partition with the sum combiner straight out of the buffer, framing and
+// sealing only the combined records. Arg = records per spill.
+void BM_KvBufferSpillCombineSum(benchmark::State& state) {
+  const auto records = static_cast<int64_t>(state.range(0));
+  constexpr int kPartitions = 16;
+  std::vector<std::string> keys;
+  for (int64_t k = 0; k < 16; ++k) keys.push_back(SerializedLong(k));
+  const std::string value = SerializedLong(1);
+  KvBuffer buffer(DataType::kLongWritable, kPartitions,
+                  static_cast<size_t>(records + 1) * 32);
+  const JobConf conf;
+  SummingReducer combiner;
+  for (auto _ : state) {
+    buffer.Clear();
+    for (int64_t i = 0; i < records; ++i) {
+      const int partition =
+          (i & 1) == 0 ? 0 : 1 + static_cast<int>((i >> 1) % (kPartitions - 1));
+      buffer.Append(partition, keys[static_cast<size_t>(i % 16)], value);
+    }
+    buffer.Sort();
+    Result<SpillSegment> spill = CombineBuffer(buffer, &combiner, conf, 0);
+    benchmark::DoNotOptimize(spill->total_records());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * records);
+}
+BENCHMARK(BM_KvBufferSpillCombineSum)->Arg(250000);
+
 // Per-spill combine of one sorted LongWritable run (16 distinct keys) with
 // the sum combiner: the SegmentReader -> GroupedIterator -> SummingReducer
 // read loop. Arg = records in the run.

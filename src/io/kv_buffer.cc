@@ -88,7 +88,7 @@ KvBuffer::KvBuffer(DataType key_type, int num_partitions,
       capacity_(capacity_bytes) {
   MRMB_CHECK_GT(num_partitions_, 0);
   MRMB_CHECK_GT(capacity_, 0u);
-  arena_.reserve(std::min<size_t>(capacity_, 16u << 20));
+  GrowArena(std::min<size_t>(capacity_, 16u << 20));
   buckets_.resize(static_cast<size_t>(num_partitions_));
 }
 
@@ -97,17 +97,18 @@ bool KvBuffer::Append(int partition, std::string_view key,
   MRMB_CHECK_GE(partition, 0);
   MRMB_CHECK_LT(partition, num_partitions_);
   const size_t frame = FramedLength(key, value);
-  if (frame > capacity_ || arena_.size() + frame > capacity_) return false;
+  if (frame > capacity_ || arena_used_ + frame > capacity_) return false;
+  if (arena_used_ + frame > arena_allocated_) GrowArena(arena_used_ + frame);
 
-  // Grow the arena once and write the whole frame in place.
+  // Write the whole frame in place.
   RecordRef ref;
   ref.key_prefix = NormalizedKeyPrefix(key_type_, key);
-  ref.frame_offset = static_cast<uint32_t>(arena_.size());
-  arena_.resize(arena_.size() + frame);
-  char* out = arena_.data() + ref.frame_offset;
+  ref.frame_offset = static_cast<uint32_t>(arena_used_);
+  arena_used_ += frame;
+  char* out = arena_.get() + ref.frame_offset;
   out += EncodeVarint64(static_cast<int64_t>(key.size()), out);
   out += EncodeVarint64(static_cast<int64_t>(value.size()), out);
-  ref.key_offset = static_cast<uint32_t>(out - arena_.data());
+  ref.key_offset = static_cast<uint32_t>(out - arena_.get());
   ref.key_len = static_cast<uint32_t>(key.size());
   ref.value_len = static_cast<uint32_t>(value.size());
   out += key.copy(out, key.size());
@@ -116,6 +117,17 @@ bool KvBuffer::Append(int partition, std::string_view key,
   ++num_records_;
   sorted_ = false;
   return true;
+}
+
+void KvBuffer::GrowArena(size_t needed) {
+  // Geometric growth like std::string's, but never past the capacity that
+  // Append enforces anyway.
+  const size_t size =
+      std::max(needed, std::min(2 * arena_allocated_, capacity_));
+  std::unique_ptr<char[]> grown = std::make_unique_for_overwrite<char[]>(size);
+  if (arena_used_ > 0) std::memcpy(grown.get(), arena_.get(), arena_used_);
+  arena_ = std::move(grown);
+  arena_allocated_ = size;
 }
 
 bool KvBuffer::Fits(std::string_view key, std::string_view value) const {
@@ -132,7 +144,7 @@ void KvBuffer::SortBucket(std::vector<RecordRef>* bucket) {
                      if (a.key_prefix != b.key_prefix) {
                        return a.key_prefix < b.key_prefix;
                      }
-                     return comparator_->Compare(KeyView(a), KeyView(b)) < 0;
+                     return comparator_->Compare(KeyOf(a), KeyOf(b)) < 0;
                    });
 }
 
@@ -154,7 +166,7 @@ void KvBuffer::Sort(ThreadPool* pool) {
 SpillSegment KvBuffer::ToSpill() const {
   MRMB_CHECK(sorted_) << "ToSpill requires Sort()";
   SpillSegment spill;
-  spill.data.reserve(arena_.size());
+  spill.data.reserve(arena_used_);
   spill.partitions.resize(static_cast<size_t>(num_partitions_));
   for (size_t p = 0; p < buckets_.size(); ++p) {
     SpillSegment::PartitionRange& range = spill.partitions[p];
@@ -162,7 +174,7 @@ SpillSegment KvBuffer::ToSpill() const {
     for (const RecordRef& ref : buckets_[p]) {
       const size_t frame_len = (ref.key_offset - ref.frame_offset) +
                                ref.key_len + ref.value_len;
-      spill.data.append(arena_, ref.frame_offset, frame_len);
+      spill.data.append(arena_.get() + ref.frame_offset, frame_len);
     }
     range.length = static_cast<int64_t>(spill.data.size()) - range.offset;
     range.records = static_cast<int64_t>(buckets_[p].size());
@@ -172,7 +184,7 @@ SpillSegment KvBuffer::ToSpill() const {
 }
 
 void KvBuffer::Clear() {
-  arena_.clear();
+  arena_used_ = 0;
   for (std::vector<RecordRef>& bucket : buckets_) bucket.clear();
   num_records_ = 0;
   sorted_ = false;
@@ -194,14 +206,12 @@ const KvBuffer::RecordRef& KvBuffer::RefAt(int64_t i, int* partition) const {
 
 std::string_view KvBuffer::KeyAt(int64_t i) const {
   int partition = 0;
-  return KeyView(RefAt(i, &partition));
+  return KeyOf(RefAt(i, &partition));
 }
 
 std::string_view KvBuffer::ValueAt(int64_t i) const {
   int partition = 0;
-  const RecordRef& ref = RefAt(i, &partition);
-  return std::string_view(arena_).substr(ref.key_offset + ref.key_len,
-                                         ref.value_len);
+  return ValueOf(RefAt(i, &partition));
 }
 
 int KvBuffer::PartitionAt(int64_t i) const {

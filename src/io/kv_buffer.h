@@ -3,8 +3,10 @@
 // KvBuffer plays the role of Hadoop's MapOutputBuffer (io.sort.mb): map
 // output records are appended in IFile framing (vint key length, vint value
 // length, key bytes, value bytes) into an arena, with a side index of
-// record references. Append grows the arena once per record and writes the
-// whole frame in place. The index is *bucketed by partition at append time*
+// record references. The arena is raw memory, never zero-filled: Append
+// writes each whole frame in place, and the arena is allocated at
+// min(capacity, 16 MiB) up front and doubles (up to capacity) only past
+// that. The index is *bucketed by partition at append time*
 // (the partition is already known in Append), so sorting never compares
 // partition ids and ToSpill is a contiguous per-partition gather. Each
 // reference caches an 8-byte normalized key prefix (io/key_prefix.h). For
@@ -21,6 +23,8 @@
 #define MRMB_IO_KV_BUFFER_H_
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -68,6 +72,15 @@ struct SpillSegment {
 
 class KvBuffer {
  public:
+  // One collected record: where its frame, key and value sit in the arena.
+  struct RecordRef {
+    uint64_t key_prefix;    // normalized prefix (io/key_prefix.h)
+    uint32_t frame_offset;  // start of framing header in arena
+    uint32_t key_offset;    // start of key bytes
+    uint32_t key_len;
+    uint32_t value_len;
+  };
+
   // `capacity_bytes` bounds the arena like io.sort.mb; Append returns false
   // once a record would overflow it (caller then spills and Clear()s).
   KvBuffer(DataType key_type, int num_partitions, size_t capacity_bytes);
@@ -103,8 +116,9 @@ class KvBuffer {
 
   void Clear();
 
-  size_t bytes_used() const { return arena_.size(); }
+  size_t bytes_used() const { return arena_used_; }
   size_t capacity() const { return capacity_; }
+  DataType key_type() const { return key_type_; }
   int64_t records() const { return num_records_; }
   int num_partitions() const { return num_partitions_; }
   bool sorted() const { return sorted_; }
@@ -116,27 +130,34 @@ class KvBuffer {
   std::string_view ValueAt(int64_t i) const;
   int PartitionAt(int64_t i) const;
 
- private:
-  struct RecordRef {
-    uint64_t key_prefix;    // normalized prefix (io/key_prefix.h)
-    uint32_t frame_offset;  // start of framing header in arena
-    uint32_t key_offset;    // start of key bytes
-    uint32_t key_len;
-    uint32_t value_len;
-  };
-
-  std::string_view KeyView(const RecordRef& ref) const {
-    return std::string_view(arena_).substr(ref.key_offset, ref.key_len);
+  // One partition's records, in arrival order before Sort() and key order
+  // after; KeyOf/ValueOf resolve them. Views stay valid until the next
+  // Append or Clear.
+  std::span<const RecordRef> PartitionRecords(int partition) const {
+    return buckets_[static_cast<size_t>(partition)];
   }
+  std::string_view KeyOf(const RecordRef& ref) const {
+    return std::string_view(arena_.get() + ref.key_offset, ref.key_len);
+  }
+  std::string_view ValueOf(const RecordRef& ref) const {
+    return std::string_view(arena_.get() + ref.key_offset + ref.key_len,
+                            ref.value_len);
+  }
+
+ private:
   const RecordRef& RefAt(int64_t i, int* partition) const;
   void SortBucket(std::vector<RecordRef>* bucket);
+  // Reallocates the arena to hold at least `needed` bytes.
+  void GrowArena(size_t needed);
 
   DataType key_type_;
   const RawComparator* comparator_;
   bool prefix_decisive_;
   int num_partitions_;
   size_t capacity_;
-  std::string arena_;
+  std::unique_ptr<char[]> arena_;
+  size_t arena_used_ = 0;
+  size_t arena_allocated_ = 0;
   std::vector<std::vector<RecordRef>> buckets_;  // one per partition
   int64_t num_records_ = 0;
   bool sorted_ = false;

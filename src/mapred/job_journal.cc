@@ -95,15 +95,15 @@ std::string EncodeMapCommit(const JournalMapCommit& commit) {
   writer.AppendVarint64(commit.stats.spilled_bytes);
   writer.AppendVarint64(commit.stats.spill_extents);
   writer.AppendVarint64(commit.stats.spill_degradations);
-  writer.AppendVarint64(commit.stats.combine_spill_input_records);
-  writer.AppendVarint64(commit.stats.combine_spill_output_records);
-  writer.AppendVarint64(commit.stats.combine_spill_input_bytes);
-  writer.AppendVarint64(commit.stats.combine_spill_output_bytes);
-  writer.AppendVarint64(commit.stats.combine_merge_input_records);
-  writer.AppendVarint64(commit.stats.combine_merge_output_records);
-  writer.AppendVarint64(commit.stats.combine_merge_input_bytes);
-  writer.AppendVarint64(commit.stats.combine_merge_output_bytes);
-  writer.AppendVarint64(commit.stats.combine_micros);
+  writer.AppendVarint64(commit.stats.combine.spill_input_records);
+  writer.AppendVarint64(commit.stats.combine.spill_output_records);
+  writer.AppendVarint64(commit.stats.combine.spill_input_bytes);
+  writer.AppendVarint64(commit.stats.combine.spill_output_bytes);
+  writer.AppendVarint64(commit.stats.combine.merge_input_records);
+  writer.AppendVarint64(commit.stats.combine.merge_output_records);
+  writer.AppendVarint64(commit.stats.combine.merge_input_bytes);
+  writer.AppendVarint64(commit.stats.combine.merge_output_bytes);
+  writer.AppendVarint64(commit.stats.combine.combine_micros);
   writer.AppendByte(commit.has_extent ? 1 : 0);
   if (commit.has_extent) {
     writer.AppendVarint64(static_cast<int64_t>(commit.extent.file_name.size()));
@@ -201,23 +201,23 @@ Status DecodeRecord(std::string_view payload, JournalReplay* replay) {
       MRMB_RETURN_IF_ERROR(
           reader.ReadVarint64(&commit.stats.spill_degradations));
       MRMB_RETURN_IF_ERROR(
-          reader.ReadVarint64(&commit.stats.combine_spill_input_records));
+          reader.ReadVarint64(&commit.stats.combine.spill_input_records));
       MRMB_RETURN_IF_ERROR(
-          reader.ReadVarint64(&commit.stats.combine_spill_output_records));
+          reader.ReadVarint64(&commit.stats.combine.spill_output_records));
       MRMB_RETURN_IF_ERROR(
-          reader.ReadVarint64(&commit.stats.combine_spill_input_bytes));
+          reader.ReadVarint64(&commit.stats.combine.spill_input_bytes));
       MRMB_RETURN_IF_ERROR(
-          reader.ReadVarint64(&commit.stats.combine_spill_output_bytes));
+          reader.ReadVarint64(&commit.stats.combine.spill_output_bytes));
       MRMB_RETURN_IF_ERROR(
-          reader.ReadVarint64(&commit.stats.combine_merge_input_records));
+          reader.ReadVarint64(&commit.stats.combine.merge_input_records));
       MRMB_RETURN_IF_ERROR(
-          reader.ReadVarint64(&commit.stats.combine_merge_output_records));
+          reader.ReadVarint64(&commit.stats.combine.merge_output_records));
       MRMB_RETURN_IF_ERROR(
-          reader.ReadVarint64(&commit.stats.combine_merge_input_bytes));
+          reader.ReadVarint64(&commit.stats.combine.merge_input_bytes));
       MRMB_RETURN_IF_ERROR(
-          reader.ReadVarint64(&commit.stats.combine_merge_output_bytes));
+          reader.ReadVarint64(&commit.stats.combine.merge_output_bytes));
       MRMB_RETURN_IF_ERROR(
-          reader.ReadVarint64(&commit.stats.combine_micros));
+          reader.ReadVarint64(&commit.stats.combine.combine_micros));
       uint8_t has_extent = 0;
       MRMB_RETURN_IF_ERROR(reader.ReadByte(&has_extent));
       commit.has_extent = has_extent != 0;

@@ -58,30 +58,40 @@ struct JournalExtentManifest {
   std::vector<SpillSegment::PartitionRange> partitions;
 };
 
-// Map-side counters carried through the journal so a resumed run reports
-// adopted tasks' work as if it had run them.
+// Per-stage combine accounting for one map attempt. Bytes are logical
+// (decompressed) framed bytes; micros is wall time spent in the per-spill
+// and merge-time combine passes, the map-side share of the
+// combine_cpu_per_record calibration source.
+struct MapCombineStats {
+  int64_t spill_input_records = 0;
+  int64_t spill_output_records = 0;
+  int64_t spill_input_bytes = 0;
+  int64_t spill_output_bytes = 0;
+  int64_t merge_input_records = 0;
+  int64_t merge_output_records = 0;
+  int64_t merge_input_bytes = 0;
+  int64_t merge_output_bytes = 0;
+  int64_t combine_micros = 0;
+};
+
+// Map-side counters of one committed attempt, carried through the journal
+// so a resumed run reports adopted tasks' work as if it had run them.
 struct JournalMapStats {
   int64_t input_records = 0;
   int64_t output_records = 0;
   int64_t spill_count = 0;
   int64_t combine_removed = 0;
-  int64_t output_bytes = 0;
-  int64_t wire_bytes = 0;
+  int64_t output_bytes = 0;  // logical (uncompressed) framed bytes
+  int64_t wire_bytes = 0;    // bytes as published (codec frames when on)
+  // Disk spill engine, this attempt only: physical extent bytes written,
+  // extent count (spills + final output), and writes that degraded to RAM
+  // residency on ENOSPC/EIO.
   int64_t spilled_bytes = 0;
   int64_t spill_extents = 0;
   int64_t spill_degradations = 0;
-  // Per-stage combiner accounting (records/bytes in and out of the
-  // per-spill and merge-time combine passes, plus combiner CPU time) so an
-  // adopted task's wire savings survive resume.
-  int64_t combine_spill_input_records = 0;
-  int64_t combine_spill_output_records = 0;
-  int64_t combine_spill_input_bytes = 0;
-  int64_t combine_spill_output_bytes = 0;
-  int64_t combine_merge_input_records = 0;
-  int64_t combine_merge_output_records = 0;
-  int64_t combine_merge_input_bytes = 0;
-  int64_t combine_merge_output_bytes = 0;
-  int64_t combine_micros = 0;
+  // Per-stage combine accounting (zeros without a combiner), so an adopted
+  // task's wire savings survive resume.
+  MapCombineStats combine;
 };
 
 struct JournalMapCommit {

@@ -30,6 +30,7 @@
 #include "io/block_codec.h"
 #include "io/byte_buffer.h"
 #include "io/checksum.h"
+#include "io/key_prefix.h"
 #include "io/merge.h"
 #include "io/spill_store.h"
 #include "mapred/fault_injector.h"
@@ -49,6 +50,10 @@ using Clock = std::chrono::steady_clock;
 
 double Seconds(Clock::duration d) {
   return std::chrono::duration<double>(d).count();
+}
+
+int64_t Micros(Clock::duration d) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(d).count();
 }
 
 // Pool lanes. Shuffle events (fetch verification, background merges, final
@@ -153,22 +158,6 @@ class Watchdog {
   std::thread thread_;
 };
 
-// Per-stage combine accounting for one map attempt. Bytes are logical
-// (decompressed) framed bytes; micros is wall time spent inside
-// CombineSegment / CombineSortedRun, the map-side share of the
-// combine_cpu_per_record calibration source.
-struct MapCombineStats {
-  int64_t spill_input_records = 0;
-  int64_t spill_output_records = 0;
-  int64_t spill_input_bytes = 0;
-  int64_t spill_output_bytes = 0;
-  int64_t merge_input_records = 0;
-  int64_t merge_output_records = 0;
-  int64_t merge_input_bytes = 0;
-  int64_t merge_output_bytes = 0;
-  int64_t combine_micros = 0;
-};
-
 // Map-side context: partitions each emitted record, collects into a bounded
 // KvBuffer, spills sorted runs when full. Errors (oversized record,
 // watchdog cancellation) stick in status(); once set, further Emits are
@@ -219,6 +208,14 @@ class LocalMapContext final : public MapContext {
                        task_id_, static_cast<long long>(emitted_)));
       return;
     }
+    if (!KeyWireFormatValid(conf_.record.type, key)) {
+      // Hadoop's collect() key type check: the key prefix, the sort and the
+      // combiner may only see keys of the job's key type.
+      status_ = Status::InvalidArgument(StringPrintf(
+          "map task %d emitted a %zu-byte key that is not a well-formed %s",
+          task_id_, key.size(), DataTypeName(conf_.record.type)));
+      return;
+    }
     const int partition =
         partitioner_->Partition(key, emitted_, conf_.num_reduces);
     if (!buffer_.Append(partition, key, value)) {
@@ -248,6 +245,7 @@ class LocalMapContext final : public MapContext {
     // again.
     if (spills_.empty()) {
       SpillBuffer(/*may_store=*/false);
+      MRMB_RETURN_IF_ERROR(status_);  // the combiner can reject a key
       return std::move(spills_[0].resident);
     }
     if (buffer_.records() > 0) SpillBuffer(/*may_store=*/true);
@@ -307,10 +305,7 @@ class LocalMapContext final : public MapContext {
         const auto t0 = Clock::now();
         Result<MergedRun> combined = CombineSortedRun(
             merged.data, comparator, combiner_.get(), conf_, task_id_);
-        combine_.combine_micros +=
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                Clock::now() - t0)
-                .count();
+        combine_.combine_micros += Micros(Clock::now() - t0);
         if (!combined.ok()) {
           // The merged run came out of our own loser tree; malformed
           // framing here is a framework bug, not input damage.
@@ -357,24 +352,31 @@ class LocalMapContext final : public MapContext {
   // extent once it would take resident spill bytes past the budget.
   void SpillBuffer(bool may_store) {
     buffer_.Sort(sort_pool_.get());
-    SpillSegment spill = buffer_.ToSpill();
-    if (combiner_ != nullptr) {
-      const int64_t before = spill.total_records();
-      const int64_t before_bytes = spill.total_bytes();
+    Result<SpillSegment> sealed = SpillSegment();
+    if (combiner_ == nullptr) {
+      sealed = buffer_.ToSpill();
+    } else {
+      // Hadoop's sortAndSpill: the combiner reads the sorted buffer, and
+      // only what it emits is framed and sealed.
       const auto t0 = Clock::now();
-      spill = CombineSegment(spill, ComparatorFor(conf_.record.type),
-                             combiner_.get(), conf_, task_id_);
-      combine_.combine_micros +=
-          std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                                t0)
-              .count();
-      combine_.spill_input_records += before;
-      combine_.spill_input_bytes += before_bytes;
-      combine_.spill_output_records += spill.total_records();
-      combine_.spill_output_bytes += spill.total_bytes();
-      combine_removed_ += before - spill.total_records();
+      sealed = CombineBuffer(buffer_, combiner_.get(), conf_, task_id_);
+      combine_.combine_micros += Micros(Clock::now() - t0);
+      if (sealed.ok()) {
+        const int64_t in = buffer_.records(), out = sealed->total_records();
+        combine_.spill_input_records += in;
+        combine_.spill_input_bytes +=
+            static_cast<int64_t>(buffer_.bytes_used());
+        combine_.spill_output_records += out;
+        combine_.spill_output_bytes += sealed->total_bytes();
+        combine_removed_ += in - out;
+      }
     }
     buffer_.Clear();
+    if (!sealed.ok()) {
+      status_ = sealed.status();
+      return;
+    }
+    SpillSegment spill = std::move(sealed).value();
     const int64_t bytes = spill.total_bytes();
     if (may_store && store_ != nullptr &&
         resident_spill_bytes_ + bytes > spill_budget_bytes_) {
@@ -475,23 +477,8 @@ class GroupValues final : public ValueIterator {
 // Stats of one committed (successful) map attempt. Failed attempts may have
 // processed a timing-dependent prefix of their input, so their numbers are
 // discarded — only committed attempts feed LocalJobResult, which keeps the
-// counters deterministic.
-struct MapTaskStats {
-  int64_t input_records = 0;
-  int64_t output_records = 0;
-  int64_t spill_count = 0;
-  int64_t combine_removed = 0;
-  int64_t output_bytes = 0;  // logical (uncompressed) framed bytes
-  int64_t wire_bytes = 0;    // bytes as published (codec frames when on)
-  // Disk spill engine, this attempt only: physical extent bytes written,
-  // extent count (spills + final output), and writes that degraded to RAM
-  // residency on ENOSPC/EIO.
-  int64_t spilled_bytes = 0;
-  int64_t spill_extents = 0;
-  int64_t spill_degradations = 0;
-  // Per-stage combine accounting (zeros without a combiner).
-  MapCombineStats combine;
-};
+// counters deterministic. The journal carries them as they are.
+using MapTaskStats = JournalMapStats;
 
 struct MapAttemptOutcome {
   Status status;        // OK iff the output and `stats` are valid
@@ -518,52 +505,6 @@ struct ReduceAttemptOutcome {
 };
 
 // ---- Crash-safety helpers ------------------------------------------------
-
-JournalMapStats ToJournalStats(const MapTaskStats& stats) {
-  JournalMapStats out;
-  out.input_records = stats.input_records;
-  out.output_records = stats.output_records;
-  out.spill_count = stats.spill_count;
-  out.combine_removed = stats.combine_removed;
-  out.output_bytes = stats.output_bytes;
-  out.wire_bytes = stats.wire_bytes;
-  out.spilled_bytes = stats.spilled_bytes;
-  out.spill_extents = stats.spill_extents;
-  out.spill_degradations = stats.spill_degradations;
-  out.combine_spill_input_records = stats.combine.spill_input_records;
-  out.combine_spill_output_records = stats.combine.spill_output_records;
-  out.combine_spill_input_bytes = stats.combine.spill_input_bytes;
-  out.combine_spill_output_bytes = stats.combine.spill_output_bytes;
-  out.combine_merge_input_records = stats.combine.merge_input_records;
-  out.combine_merge_output_records = stats.combine.merge_output_records;
-  out.combine_merge_input_bytes = stats.combine.merge_input_bytes;
-  out.combine_merge_output_bytes = stats.combine.merge_output_bytes;
-  out.combine_micros = stats.combine.combine_micros;
-  return out;
-}
-
-MapTaskStats FromJournalStats(const JournalMapStats& stats) {
-  MapTaskStats out;
-  out.input_records = stats.input_records;
-  out.output_records = stats.output_records;
-  out.spill_count = stats.spill_count;
-  out.combine_removed = stats.combine_removed;
-  out.output_bytes = stats.output_bytes;
-  out.wire_bytes = stats.wire_bytes;
-  out.spilled_bytes = stats.spilled_bytes;
-  out.spill_extents = stats.spill_extents;
-  out.spill_degradations = stats.spill_degradations;
-  out.combine.spill_input_records = stats.combine_spill_input_records;
-  out.combine.spill_output_records = stats.combine_spill_output_records;
-  out.combine.spill_input_bytes = stats.combine_spill_input_bytes;
-  out.combine.spill_output_bytes = stats.combine_spill_output_bytes;
-  out.combine.merge_input_records = stats.combine_merge_input_records;
-  out.combine.merge_output_records = stats.combine_merge_output_records;
-  out.combine.merge_input_bytes = stats.combine_merge_input_bytes;
-  out.combine.merge_output_bytes = stats.combine_merge_output_bytes;
-  out.combine.combine_micros = stats.combine_micros;
-  return out;
-}
 
 std::string Basename(const std::string& path) {
   const size_t slash = path.find_last_of('/');
@@ -1128,7 +1069,7 @@ class PipelinedJob {
         JournalMapCommit commit;
         commit.task = m;
         commit.attempt = attempt;
-        commit.stats = ToJournalStats(outcome.stats);
+        commit.stats = outcome.stats;
         if (outcome.stored_output != nullptr) {
           commit.has_extent = true;
           commit.extent.file_name = Basename(outcome.stored_output->path());
@@ -2387,7 +2328,7 @@ class PipelinedJob {
         // Every reduce is adopted, so nothing will ever fetch map output
         // (all reduces committed implies all maps had too) — only the
         // committed attempts' counters matter.
-        slot.stats = FromJournalStats(commit.stats);
+        slot.stats = commit.stats;
         continue;
       }
       if (!commit.has_extent) continue;  // RAM-degraded: died with the run
@@ -2420,7 +2361,7 @@ class PipelinedJob {
       // Execute rebuilds fully-adopted groups before the pool spins up and
       // partially-adopted ones rebuild when their last member re-commits.
       slot.initial_committed = true;
-      slot.stats = FromJournalStats(commit.stats);
+      slot.stats = commit.stats;
       ++initial_commits_;
       ++result_.maps_adopted;
     }

@@ -1,11 +1,13 @@
 #include "mapred/map_output.h"
 
 #include <memory>
+#include <span>
 
 #include "common/logging.h"
 #include "common/strings.h"
 #include "io/byte_buffer.h"
 #include "io/checksum.h"
+#include "io/key_prefix.h"
 #include "io/merge.h"
 
 namespace mrmb {
@@ -155,6 +157,27 @@ class CombineContext final : public ReduceContext {
   SpillSegment::PartitionRange* range_;
 };
 
+// Hands one key group's values to the combiner straight out of a sorted
+// collect buffer.
+class BufferValues final : public ValueIterator {
+ public:
+  BufferValues(const KvBuffer& buffer, const KvBuffer::RecordRef* begin,
+               const KvBuffer::RecordRef* end)
+      : buffer_(buffer), next_(begin), end_(end) {}
+  bool Next() override {
+    if (next_ == end_) return false;
+    value_ = buffer_.ValueOf(*next_++);
+    return true;
+  }
+  std::string_view value() const override { return value_; }
+
+ private:
+  const KvBuffer& buffer_;
+  const KvBuffer::RecordRef* next_;
+  const KvBuffer::RecordRef* end_;
+  std::string_view value_;
+};
+
 // Adapts a GroupedIterator's values to the ValueIterator interface.
 class CombineValues final : public ValueIterator {
  public:
@@ -188,6 +211,57 @@ Result<MergedRun> CombineSortedRun(std::string_view run,
   }
   MRMB_RETURN_IF_ERROR(reader.status());
   out.records = counter.records;
+  return out;
+}
+
+Result<SpillSegment> CombineBuffer(const KvBuffer& buffer, Reducer* combiner,
+                                   const JobConf& conf, int task_id) {
+  MRMB_CHECK(combiner != nullptr);
+  MRMB_CHECK(buffer.sorted()) << "CombineBuffer requires Sort()";
+  const DataType type = buffer.key_type();
+  const RawComparator* comparator = ComparatorFor(type);
+  // Fixed-width keys (Int/Long/Null) are valid iff they have the type's
+  // length, and two valid ones are equal iff their prefixes are: a group is
+  // a run of equal prefix and key length behind a validated head. Other
+  // types validate every key and break prefix ties with the comparator,
+  // exactly like GroupedIterator.
+  const bool prefix_decides = PrefixIsDecisive(type);
+  const auto malformed = [&](std::string_view key) {
+    return Status::InvalidArgument(StringPrintf(
+        "map task %d emitted a %zu-byte key that is not a well-formed %s",
+        task_id, key.size(), DataTypeName(type)));
+  };
+  SpillSegment out;
+  out.partitions.resize(static_cast<size_t>(buffer.num_partitions()));
+  BufferWriter writer(&out.data);
+  for (size_t p = 0; p < out.partitions.size(); ++p) {
+    SpillSegment::PartitionRange& range = out.partitions[p];
+    range.offset = static_cast<int64_t>(out.data.size());
+    CombineContext context(conf, task_id, &writer, &range);
+    const std::span<const KvBuffer::RecordRef> refs =
+        buffer.PartitionRecords(static_cast<int>(p));
+    const KvBuffer::RecordRef* group = refs.data();
+    const KvBuffer::RecordRef* const end = group + refs.size();
+    while (group != end) {
+      const std::string_view key = buffer.KeyOf(*group);
+      if (!KeyWireFormatValid(type, key)) return malformed(key);
+      const KvBuffer::RecordRef* next = group + 1;
+      for (; next != end && next->key_prefix == group->key_prefix; ++next) {
+        if (prefix_decides) {
+          if (next->key_len != group->key_len) break;
+          continue;
+        }
+        const std::string_view next_key = buffer.KeyOf(*next);
+        if (!KeyWireFormatValid(type, next_key)) return malformed(next_key);
+        if (comparator->Compare(next_key, key) != 0) break;
+      }
+      BufferValues values(buffer, group, next);
+      combiner->Reduce(key, &values, &context);
+      group = next;
+    }
+    range.length = static_cast<int64_t>(out.data.size()) - range.offset;
+  }
+  SealSegment(&out);
   return out;
 }
 

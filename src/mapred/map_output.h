@@ -64,10 +64,10 @@ Result<SpillSegment> CompressSegment(MapOutputCodec codec,
                                      const SpillSegment& segment);
 
 // Runs `combiner` over every key group of one sorted framed run and returns
-// the combined, still-sorted run. This is the kernel every combine stage
-// shares: the per-spill pass (via CombineSegment), merge-time combining of
-// multi-spill map output and reduce-side fold output, and the in-node
-// combine of co-located map segments (mapred/node_combiner.h). The combiner
+// the combined, still-sorted run. This is the kernel of every combine stage
+// that reads framed bytes: merge-time combining of multi-spill map output
+// and reduce-side fold output, the in-node combine of co-located map
+// segments (mapred/node_combiner.h), and CombineSegment. The combiner
 // must emit keys equal to the group key (the usual sum/count combiners do),
 // or the output order is unspecified. Malformed framing in `run` returns
 // DataLoss.
@@ -76,10 +76,22 @@ Result<MergedRun> CombineSortedRun(std::string_view run,
                                    Reducer* combiner, const JobConf& conf,
                                    int task_id);
 
+// Hadoop's per-spill combine (MapOutputBuffer.sortAndSpill): runs
+// `combiner` over every key group of every partition of a sorted collect
+// buffer, reading records straight out of its arena, and frames and seals
+// only what the combiner emits. The result is byte-identical to
+// CombineSegment(buffer.ToSpill(), ...) without building the uncombined
+// segment. Every key's wire format is validated against the buffer's key
+// type, as SegmentReader does for framed runs; a malformed key (a mapper
+// emitting bytes of the wrong shape) returns InvalidArgument and never
+// joins a neighbour's group.
+Result<SpillSegment> CombineBuffer(const KvBuffer& buffer, Reducer* combiner,
+                                   const JobConf& conf, int task_id);
+
 // Runs `combiner` over every key group of every partition of a sorted
-// segment (Hadoop's per-spill combine pass) and returns the combined,
-// still-sorted, sealed segment. The segment must be well-formed (it was
-// just built in RAM); malformed framing aborts.
+// segment and returns the combined, still-sorted, sealed segment. The
+// segment must be well-formed (it was just built in RAM); malformed
+// framing aborts.
 SpillSegment CombineSegment(const SpillSegment& segment,
                             const RawComparator* comparator,
                             Reducer* combiner, const JobConf& conf,

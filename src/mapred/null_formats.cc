@@ -1,12 +1,12 @@
 #include "mapred/null_formats.h"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/logging.h"
 #include "io/byte_buffer.h"
-#include "io/writable.h"
 
 namespace mrmb {
 
@@ -115,16 +115,17 @@ void GeneratingMapper::Map(std::string_view /*key*/,
 
 void SummingReducer::Reduce(std::string_view key, ValueIterator* values,
                             ReduceContext* context) {
-  int64_t sum = 0;
+  // Unsigned arithmetic: int64 wraparound keeps the sum order-insensitive.
+  uint64_t sum = 0;
   while (values->Next()) {
-    LongWritable v;
-    BufferReader reader(values->value());
-    MRMB_CHECK_OK(v.Deserialize(&reader));
-    sum += v.value();  // int64 wraparound keeps the sum order-insensitive
+    const std::string_view value = values->value();
+    MRMB_CHECK_EQ(value.size(), 8u) << "SummingReducer needs LongWritable";
+    sum += LoadBigEndian64(value.data());
   }
-  BufferWriter writer;
-  LongWritable(sum).Serialize(&writer);
-  context->Emit(key, writer.data());
+  const uint64_t wire = BigEndian64(sum);
+  char out[8];
+  std::memcpy(out, &wire, sizeof(out));
+  context->Emit(key, std::string_view(out, sizeof(out)));
 }
 
 ReducerFactory MakeBuiltinCombiner(CombinerKind kind) {

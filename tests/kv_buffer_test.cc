@@ -143,6 +143,82 @@ TEST(KvBufferTest, BytesUsedTracksFraming) {
   EXPECT_EQ(buffer.bytes_used(), 14u);
 }
 
+// Frames one record the way SegmentReader decodes it, independently of
+// KvBuffer::Append.
+std::string Frame(const std::string& key, const std::string& value) {
+  BufferWriter writer;
+  writer.AppendVarint64(static_cast<int64_t>(key.size()));
+  writer.AppendVarint64(static_cast<int64_t>(value.size()));
+  writer.AppendRaw(key);
+  writer.AppendRaw(value);
+  return std::string(writer.data());
+}
+
+TEST(KvBufferTest, ArenaGrowsPast16MiBWithoutChangingBytes) {
+  // The arena starts at 16 MiB; ~20 MiB of records make it grow and copy
+  // what it holds.
+  constexpr size_t kCapacity = size_t{24} << 20;
+  KvBuffer buffer(DataType::kBytesWritable, 1, kCapacity);
+  constexpr int kRecords = 2000;
+  std::string expected;
+  for (int i = 0; i < kRecords; ++i) {
+    // Zero-padded keys arrive in key order, so sorting keeps arrival order.
+    std::string id = std::to_string(i);
+    id.insert(0, 6 - id.size(), '0');
+    const std::string key = WireBytes(id);
+    const std::string value =
+        WireBytes(std::string(10 << 10, static_cast<char>('a' + i % 26)));
+    ASSERT_TRUE(buffer.Append(0, key, value)) << i;
+    expected += Frame(key, value);
+  }
+  ASSERT_GT(buffer.bytes_used(), size_t{16} << 20);
+  EXPECT_EQ(buffer.bytes_used(), expected.size());
+  for (int i = 0; i < kRecords; i += 97) {
+    EXPECT_EQ(buffer.KeyAt(i).substr(4, 6),
+              std::string(6 - std::to_string(i).size(), '0') +
+                  std::to_string(i));
+    EXPECT_EQ(buffer.ValueAt(i).substr(4),
+              std::string(10 << 10, static_cast<char>('a' + i % 26)));
+  }
+  buffer.Sort();
+  const SpillSegment spill = buffer.ToSpill();
+  EXPECT_EQ(spill.data, expected);
+  EXPECT_EQ(spill.partitions[0].records, kRecords);
+}
+
+TEST(KvBufferTest, ExactFitFrameIsAcceptedOneMoreByteIsRefused) {
+  const std::string key = WireBytes("k");           // 5 bytes
+  const std::string value = WireBytes("12345678");  // 12 bytes
+  const size_t frame = Frame(key, value).size();    // 2 + 17
+  {
+    // A lone frame that exactly fills the buffer.
+    KvBuffer buffer(DataType::kBytesWritable, 1, frame);
+    EXPECT_TRUE(buffer.Fits(key, value));
+    EXPECT_TRUE(buffer.Append(0, key, value));
+    EXPECT_EQ(buffer.bytes_used(), frame);
+    EXPECT_FALSE(buffer.Append(0, WireBytes(""), WireBytes("")));
+  }
+  {
+    // One byte short: never fits.
+    KvBuffer buffer(DataType::kBytesWritable, 1, frame - 1);
+    EXPECT_FALSE(buffer.Fits(key, value));
+    EXPECT_FALSE(buffer.Append(0, key, value));
+    EXPECT_EQ(buffer.bytes_used(), 0u);
+  }
+  {
+    // After a first frame, one that fills the rest exactly is accepted and
+    // one a byte longer is refused, although it fits an empty buffer.
+    KvBuffer buffer(DataType::kBytesWritable, 1, 2 * frame);
+    ASSERT_TRUE(buffer.Append(0, key, value));
+    const std::string longer = WireBytes("123456789");
+    EXPECT_TRUE(buffer.Fits(key, longer));
+    EXPECT_FALSE(buffer.Append(0, key, longer));
+    EXPECT_TRUE(buffer.Append(0, key, value));
+    EXPECT_EQ(buffer.bytes_used(), 2 * frame);
+    EXPECT_EQ(buffer.records(), 2);
+  }
+}
+
 TEST(KvBufferTest, TextKeysSortLexicographically) {
   auto wire_text = [](const std::string& s) {
     BufferWriter writer;
